@@ -1,17 +1,14 @@
 """Microbenchmark: wall-clock comparison of the simulation-engine backends.
 
 Trains the scaled ResNet-50 workload briefly, then simulates its final
-epoch trace through each registered backend (``reference``,
-``vectorized``, ``parallel``) with identical sampling parameters, checks
-that every backend is bit-identical to the reference oracle, and measures
-the cold/warm behaviour of both the on-disk result cache and the
-cross-process shared memo tier (two distinct worker processes share one
-``shared_dir``; the second must re-simulate nothing).
+epoch trace through both backends (``reference`` and ``vectorized``) with
+identical sampling parameters, checks that the vectorized kernel is
+bit-identical to the reference oracle, and measures the cold/warm
+behaviour of the on-disk result cache.
 
 Results are printed as a table and emitted to ``BENCH_engine.json`` at
-the repository root, including a per-layer timing breakdown and the
-parallel backend's shard plan so future regressions are attributable,
-not just visible.  The emitted ``perf_gate`` block records the speedup
+the repository root, including a per-layer timing breakdown so future
+regressions are attributable, not just visible.  The emitted ``perf_gate`` block records the speedup
 floors CI enforces.
 
 Run directly::
@@ -29,9 +26,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import pickle
-import subprocess
-import sys
 import tempfile
 import time
 from pathlib import Path
@@ -45,18 +39,11 @@ from repro.engine import SimulationEngine
 #: clock and the batched numpy kernels have a real batch to amortise over.
 MAX_GROUPS = 512
 WORKLOAD = "resnet50"
-#: Parallel worker count for the headline number (the PR's acceptance
-#: criterion is phrased at 8 jobs).
-PARALLEL_JOBS = 8
 OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_engine.json"
 #: The vectorized backend must beat the reference path by at least this
 #: factor on the full trace; the run fails otherwise so a performance
 #: regression turns CI red instead of hiding in the artifact.
 MIN_VECTORIZED_SPEEDUP = 10.0
-#: Parallel must beat vectorized by this factor at 8 jobs — only
-#: enforceable on machines with enough cores to host the workers.
-MIN_PARALLEL_RATIO = 2.0
-PARALLEL_GATE_MIN_CPUS = 8
 
 #: Reduced configuration for the CI perf-gate step (--check): a smaller
 #: workload and batch so the gate costs seconds, compared ratio-against-
@@ -68,20 +55,6 @@ CHECK_MAX_GROUPS = 64
 #: container, so 5x leaves a 2x margin for slower/noisier runners.
 CHECK_FLOOR_FALLBACK = 5.0
 
-#: Subprocess body for the shared-tier check: loads pickled layers, runs
-#: one engine against the shared tier, reports its stats as JSON.
-_SHARED_TIER_WORKER = """
-import json, pickle, sys
-from repro.engine import SimulationEngine
-layers = pickle.load(open(sys.argv[1], "rb"))
-engine = SimulationEngine(backend="vectorized", shared_dir=sys.argv[2],
-                          max_groups=int(sys.argv[3]))
-engine.simulate_layers(layers)
-print(json.dumps({"layers_simulated": engine.stats.layers_simulated,
-                  "shared_hits": engine.stats.shared_hits}))
-"""
-
-
 def _identical(lhs, rhs) -> bool:
     if [r.layer_name for r in lhs] != [r.layer_name for r in rhs]:
         return False
@@ -89,45 +62,6 @@ def _identical(lhs, rhs) -> bool:
         if a.operations != b.operations or a.traffic != b.traffic:
             return False
     return True
-
-
-def _shared_tier_check(layers) -> dict:
-    """Run two *distinct processes* against one shared tier in sequence.
-
-    The first populates it; the second must re-simulate zero layers.
-    """
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    existing = env.get("PYTHONPATH")
-    env["PYTHONPATH"] = f"{src}{os.pathsep}{existing}" if existing else src
-    with tempfile.TemporaryDirectory() as tmp:
-        layers_file = Path(tmp) / "layers.pkl"
-        layers_file.write_bytes(pickle.dumps(list(layers)))
-        shared_dir = Path(tmp) / "shared"
-        runs = []
-        for _ in range(2):
-            proc = subprocess.run(
-                [sys.executable, "-c", _SHARED_TIER_WORKER,
-                 str(layers_file), str(shared_dir), str(MAX_GROUPS)],
-                capture_output=True, text=True, env=env, check=False,
-            )
-            if proc.returncode != 0:
-                raise AssertionError(
-                    f"shared-tier worker failed: {proc.stderr[-2000:]}"
-                )
-            runs.append(json.loads(proc.stdout))
-    first, second = runs
-    if second["layers_simulated"] != 0:
-        raise AssertionError(
-            f"warm shared-tier process re-simulated "
-            f"{second['layers_simulated']} layers"
-        )
-    return {
-        "first_process_layers_simulated": first["layers_simulated"],
-        "second_process_layers_simulated": second["layers_simulated"],
-        "second_process_shared_hits": second["shared_hits"],
-        "distinct_processes": True,
-    }
 
 
 def run_check() -> int:
@@ -178,8 +112,8 @@ def run_check() -> int:
 def main() -> int:
     print_header(
         "Simulation-engine backend comparison",
-        "Engine microbenchmark (no paper figure): reference vs vectorized "
-        "vs parallel, plus result-cache and shared-tier effectiveness",
+        "Engine microbenchmark (no paper figure): reference vs vectorized, "
+        "plus result-cache effectiveness",
     )
     trace = get_trace(WORKLOAD, epochs=1)
     layers = trace.final_epoch().layers
@@ -189,24 +123,15 @@ def main() -> int:
 
     timings = {}
     results = {}
-    shard_info = {}
-    for backend, jobs in (
-        ("reference", None), ("vectorized", None), ("parallel", PARALLEL_JOBS)
-    ):
-        engine = SimulationEngine(backend=backend, jobs=jobs,
-                                  max_groups=MAX_GROUPS)
+    for backend in ("reference", "vectorized"):
+        engine = SimulationEngine(backend=backend, max_groups=MAX_GROUPS)
         start = time.perf_counter()
         results[backend] = engine.simulate_layers(layers)
         timings[backend] = time.perf_counter() - start
-        if backend == "parallel":
-            shard_info = dict(getattr(engine.backend, "last_shard_info", {}))
 
-    bit_identical = all(
-        _identical(results[backend], results["reference"])
-        for backend in ("vectorized", "parallel")
-    )
+    bit_identical = _identical(results["vectorized"], results["reference"])
     if not bit_identical:
-        raise AssertionError("a backend diverged from the reference oracle")
+        raise AssertionError("vectorized diverged from the reference oracle")
 
     # Per-layer attribution (vectorized, one layer at a time).
     simulator = SimulationEngine(backend="vectorized",
@@ -240,9 +165,6 @@ def main() -> int:
         if not _identical(warm_results, results["vectorized"]):
             raise AssertionError("cached results diverged from fresh results")
 
-    # Shared memo tier across two distinct worker processes.
-    shared_tier = _shared_tier_check(layers)
-
     reference_seconds = timings["reference"]
     rows = [
         [name, seconds, reference_seconds / seconds if seconds else float("inf")]
@@ -256,11 +178,6 @@ def main() -> int:
         rows,
     ))
 
-    parallel_ratio = (
-        timings["vectorized"] / timings["parallel"]
-        if timings["parallel"] else float("inf")
-    )
-    parallel_gate_enforced = cpu_count >= PARALLEL_GATE_MIN_CPUS
     payload = {
         "benchmark": "engine_backends",
         "workload": WORKLOAD,
@@ -275,12 +192,6 @@ def main() -> int:
             }
             for name, seconds in timings.items()
         },
-        "parallel": {
-            "jobs": PARALLEL_JOBS,
-            "ratio_vs_vectorized": round(parallel_ratio, 3),
-            "gate_enforced": parallel_gate_enforced,
-            **shard_info,
-        },
         "per_layer_seconds": sorted(per_layer, key=lambda r: -r["seconds"]),
         "cache": {
             "cold_seconds": round(cold_seconds, 4),
@@ -289,11 +200,8 @@ def main() -> int:
             "warm_cache_misses": warm_engine.stats.cache_misses,
             "warm_layers_resimulated": warm_engine.stats.layers_simulated,
         },
-        "shared_tier": shared_tier,
         "perf_gate": {
             "min_vectorized_speedup": MIN_VECTORIZED_SPEEDUP,
-            "min_parallel_ratio": MIN_PARALLEL_RATIO,
-            "parallel_gate_min_cpus": PARALLEL_GATE_MIN_CPUS,
             "reduced_workload": CHECK_WORKLOAD,
             "reduced_max_groups": CHECK_MAX_GROUPS,
             "reduced_min_vectorized_speedup": CHECK_FLOOR_FALLBACK,
@@ -309,15 +217,6 @@ def main() -> int:
         raise AssertionError(
             f"vectorized backend is only {vectorized_speedup:.2f}x the "
             f"reference path (required: >= {MIN_VECTORIZED_SPEEDUP}x)"
-        )
-    print(f"Parallel ratio over vectorized at {PARALLEL_JOBS} jobs: "
-          f"{parallel_ratio:.2f}x "
-          f"({'enforced' if parallel_gate_enforced else 'not enforced'}: "
-          f"{cpu_count} cpus)")
-    if parallel_gate_enforced and parallel_ratio < MIN_PARALLEL_RATIO:
-        raise AssertionError(
-            f"parallel backend is only {parallel_ratio:.2f}x the vectorized "
-            f"path at {PARALLEL_JOBS} jobs (required: >= {MIN_PARALLEL_RATIO}x)"
         )
     return 0
 

@@ -14,9 +14,8 @@ what the benchmarks reproduce and what EXPERIMENTS.md records.
 Simulation runs through the pluggable engine (:mod:`repro.engine`); three
 environment variables steer it without touching any benchmark:
 
-* ``REPRO_BACKEND`` — ``reference`` / ``vectorized`` / ``parallel``
-  (default ``vectorized``; all backends are bit-identical);
-* ``REPRO_JOBS`` — worker count for the parallel backend;
+* ``REPRO_BACKEND`` — ``reference`` / ``vectorized``
+  (default ``vectorized``; the backends are bit-identical);
 * ``REPRO_CACHE_DIR`` — enable the on-disk result cache so repeated
   harness runs skip already-simulated layers;
 * ``REPRO_STUDY_JOBS`` — worker processes for study-level parallelism
@@ -55,7 +54,6 @@ def engine_kwargs() -> Dict[str, object]:
     options = resolve_engine_options()
     return {
         "backend": options.backend,
-        "jobs": options.jobs,
         "cache_dir": options.cache_dir,
     }
 
@@ -64,8 +62,8 @@ def study_kwargs() -> Dict[str, object]:
     """Study-runner configuration: engine knobs plus ``study_jobs``.
 
     Same single-resolution rule as :func:`engine_kwargs` — the
-    ``REPRO_STUDY_JOBS`` / ``REPRO_SHARED_CACHE_DIR`` environment
-    variables steer study-level parallelism identically for the CLI, the
+    ``REPRO_STUDY_JOBS`` environment variable steers study-level
+    parallelism identically for the CLI, the
     API session and the benchmark harness.
     """
     from repro.engine.options import resolve_engine_options
@@ -74,7 +72,6 @@ def study_kwargs() -> Dict[str, object]:
     return {
         **engine_kwargs(),
         "study_jobs": options.study_jobs,
-        "shared_dir": options.shared_dir,
     }
 
 #: The models the headline per-model figures sweep (paper order).

@@ -38,8 +38,8 @@ Sparsity to Accelerate Deep Neural Network Training and Inference"
     and the experiment runner used by the benchmark harness.
 
 ``repro.engine``
-    The pluggable execution layer: bit-identical reference / vectorized /
-    parallel simulation backends, plus the content-addressed on-disk
+    The pluggable execution layer: bit-identical reference / vectorized
+    simulation backends, plus the content-addressed on-disk
     result cache that lets sweeps skip already-simulated layers.
 
 ``repro.explore``

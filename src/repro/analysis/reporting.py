@@ -66,8 +66,6 @@ def format_engine_stats(stats) -> str:
     execution backend produced the numbers) is visible in the report.
     """
     parts = [f"engine: backend={stats.backend}"]
-    if stats.jobs and stats.jobs > 1:
-        parts.append(f"jobs={stats.jobs}")
     parts.append(f"layers simulated={stats.layers_simulated}")
     if stats.cache_dir:
         parts.append(

@@ -84,13 +84,11 @@ class Session:
 
     Parameters
     ----------
-    backend / jobs / cache_dir / shared_dir / telemetry_dir:
+    backend / cache_dir / telemetry_dir:
         Engine knobs; ``None`` falls back to the ``REPRO_BACKEND`` /
-        ``REPRO_JOBS`` / ``REPRO_CACHE_DIR`` / ``REPRO_SHARED_CACHE_DIR``
-        / ``REPRO_TELEMETRY_DIR`` environment variables, then the
-        defaults.  ``shared_dir`` points a fleet of serve workers at one
-        cross-process memo tier so they stop re-simulating what a
-        sibling already finished; ``telemetry_dir`` enables the
+        ``REPRO_CACHE_DIR`` / ``REPRO_TELEMETRY_DIR`` environment
+        variables, then the defaults.  Several processes may share one
+        ``cache_dir``; ``telemetry_dir`` enables the
         process-wide span tracer (:mod:`repro.telemetry`) and every
         ``submit`` then records a ``session.submit`` span tree plus a
         metrics snapshot to the JSONL event log there.
@@ -117,9 +115,7 @@ class Session:
     def __init__(
         self,
         backend: Optional[str] = None,
-        jobs: Optional[int] = None,
         cache_dir: Optional[str] = None,
-        shared_dir: Optional[str] = None,
         telemetry_dir: Optional[str] = None,
         study_jobs: Optional[int] = None,
         seed: int = 0,
@@ -127,8 +123,8 @@ class Session:
         max_cached_traces: int = 16,
     ):
         self.options: EngineOptions = resolve_engine_options(
-            backend=backend, jobs=jobs, cache_dir=cache_dir,
-            shared_dir=shared_dir, telemetry_dir=telemetry_dir,
+            backend=backend, cache_dir=cache_dir,
+            telemetry_dir=telemetry_dir,
             study_jobs=study_jobs, environ=environ,
         )
         if self.options.telemetry_dir:
@@ -138,9 +134,7 @@ class Session:
         self.seed = 0 if seed is None else int(seed)
         self.engine = SimulationEngine(
             backend=self.options.backend,
-            jobs=self.options.jobs,
             cache_dir=self.options.cache_dir,
-            shared_dir=self.options.shared_dir,
             memory_cache=True,
         )
         self._traces: "OrderedDict[Tuple, object]" = OrderedDict()
@@ -462,9 +456,7 @@ class Session:
         """A study runner wired onto the session engine and trace cache.
 
         ``study_jobs`` (a per-request override, else the session's
-        resolved option) fans point groups across worker processes;
-        workers inherit the session's shared-tier directory so they
-        collapse duplicate work with the warm parent engine.
+        resolved option) fans point groups across worker processes.
         """
         from repro.explore.runner import StudyRunner
 
@@ -481,11 +473,9 @@ class Session:
             spec,
             study_dir=study_dir,
             backend=self.options.backend,
-            jobs=self.options.jobs,
             cache_dir=self.options.cache_dir,
             engine=self.engine,
             study_jobs=study_jobs,
-            shared_dir=self.options.shared_dir,
             trace_fn=trace_fn,
         )
 

@@ -93,12 +93,11 @@ bit-identical.
 
 Every simulating subcommand executes through the pluggable simulation
 engine (:mod:`repro.engine`): ``--backend`` selects the execution strategy
-(``reference`` oracle loop, numpy ``vectorized`` fast path, or a
-``parallel`` multiprocessing pool sized by ``--jobs``), all of which are
-bit-identical; ``--cache-dir`` enables the on-disk result cache so
+(``reference`` oracle loop or the bit-packed ``vectorized`` fast path),
+which are bit-identical; ``--cache-dir`` enables the on-disk result cache so
 repeated runs, sweeps and resumed studies skip already-simulated layers.
-Unset flags fall back to the ``REPRO_BACKEND`` / ``REPRO_JOBS`` /
-``REPRO_CACHE_DIR`` environment variables (one shared resolution helper,
+Unset flags fall back to the ``REPRO_BACKEND`` / ``REPRO_CACHE_DIR``
+environment variables (one shared resolution helper,
 :func:`repro.engine.resolve_engine_options`).  Cache entries are
 content-addressed by (accelerator-config hash, layer-trace hash, backend
 name): changing any configuration knob, the traced operands (e.g. via
@@ -113,7 +112,7 @@ Examples
     python -m repro --version
     python -m repro list-models
     python -m repro simulate alexnet --epochs 2
-    python -m repro simulate vgg16 --backend parallel --jobs 8
+    python -m repro simulate vgg16 --backend reference
     python -m repro simulate snli --format json
     python -m repro roofline snli --dram-bandwidth-gbps 4
     python -m repro scale resnet50 --devices 8 --partition data --trace-max-batch 8
@@ -155,29 +154,18 @@ def _add_engine_arguments(
     command.add_argument(
         "--backend", choices=available_backends(), default=None,
         help="execution strategy: 'reference' is the readable bit-exact "
-             "oracle, 'vectorized' batches all work groups through numpy, "
-             "'parallel' shards traced layers across worker processes; "
-             "all three produce identical results "
+             "oracle, 'vectorized' schedules all work groups through the "
+             "bit-packed kernel; both produce identical results "
              "(default: $REPRO_BACKEND, else vectorized)")
-    command.add_argument(
-        "--jobs", type=int, default=None,
-        help="worker processes for --backend parallel "
-             "(default: $REPRO_JOBS, else CPU count capped at 8)")
     command.add_argument(
         "--cache-dir", default=None,
         help="directory for the on-disk result cache; layers already "
              "simulated under the same (config, trace, backend) key are "
              "loaded instead of re-simulated.  Keys are content hashes, so "
              "changing the config, seed/trace or backend invalidates "
-             "entries automatically; delete the directory to reclaim space "
+             "entries automatically; delete the directory to reclaim space.  "
+             "Concurrent runs may share one directory "
              "(default: $REPRO_CACHE_DIR, else disabled)")
-    command.add_argument(
-        "--shared-dir", default=None,
-        help="directory for the cross-process shared memo tier; point "
-             "several concurrent runs or serve workers (typically via "
-             "tmpfs) at the same directory and each re-simulates only "
-             "what no sibling finished first "
-             "(default: $REPRO_SHARED_CACHE_DIR, else disabled)")
     command.add_argument(
         "--telemetry-dir", default=None,
         help="directory for the structured telemetry event log: nested "
@@ -502,9 +490,7 @@ def _session_for(args: argparse.Namespace):
 
     return Session(
         backend=args.backend,
-        jobs=args.jobs,
         cache_dir=args.cache_dir,
-        shared_dir=getattr(args, "shared_dir", None),
         telemetry_dir=getattr(args, "telemetry_dir", None),
         study_jobs=getattr(args, "study_jobs", None),
         seed=getattr(args, "seed", None) or 0,

@@ -6,7 +6,7 @@ and 3.1-3.7 of the paper:
 * :mod:`repro.core.interconnect` — the sparse per-lane multiplexer
   connectivity (lookahead / lookaside movement options).
 * :mod:`repro.core.scheduler` — the hierarchical combinational hardware
-  scheduler and its vectorised batch equivalent.
+  scheduler: the per-cycle oracle and its bit-packed batch kernel.
 * :mod:`repro.core.staging` — the N-deep operand staging buffers.
 * :mod:`repro.core.pe` — baseline (dense) and TensorDash processing elements.
 * :mod:`repro.core.tile` — grids of PEs with shared B-side scheduling and

@@ -9,30 +9,24 @@ inter-tile imbalance.
 
 For large workloads the per-value functional simulation in
 :class:`repro.core.tile.TensorDashTile` is too slow, so the accelerator
-offers a cycle-only path built on the vectorised
-:class:`repro.core.scheduler.BatchScheduler`; its cycle counts are
-identical to the functional model (verified by tests) because the
-scheduler decisions only depend on the operand zero patterns.
-
-Both execution strategies are exposed explicitly —
-:meth:`Accelerator.run_operation_serial` (one group at a time, the path
-the ``reference`` engine backend checks against) and
-:meth:`Accelerator.run_operation_batched` (all groups at once, the
-``vectorized`` backend's kernel) — and :mod:`repro.engine` chooses between
-them; :meth:`Accelerator.run_operation` dispatches on the input shape for
-backwards compatibility.
+counts cycles only, through the bit-packed
+:class:`repro.core.scheduler.BatchScheduler` kernel; its cycle counts are
+identical to the per-cycle :class:`~repro.core.scheduler.HardwareScheduler`
+oracle (verified by tests) because the scheduler decisions only depend on
+the operand zero patterns.  Configurations whose staging window is wider
+than 64 bits run on the oracle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.config import AcceleratorConfig
 from repro.core.interconnect import ConnectivityPattern
-from repro.core.scheduler import BatchScheduler, pack_stream_rows
+from repro.core.scheduler import BatchScheduler, HardwareScheduler, pack_stream_rows
 
 
 @dataclass
@@ -130,6 +124,7 @@ class Accelerator:
             lanes=self.config.pe.lanes,
             staging_depth=self.config.pe.staging_depth,
         )
+        self.scheduler = HardwareScheduler(self.pattern)
         self.batch_scheduler = BatchScheduler(self.pattern)
         # With a bandwidth-limited memory hierarchy the staging buffers can
         # refill at most ``scratchpad_banks`` rows per cycle (one row per
@@ -144,76 +139,22 @@ class Accelerator:
             self.refill_limit = None
 
     # ------------------------------------------------------------------
-    def baseline_cycles_for_rows(self, dense_rows: int) -> int:
-        """Cycles the dense baseline needs for ``dense_rows`` schedule rows."""
-        return int(dense_rows)
-
-    def tile_cycles(self, row_effectual: np.ndarray) -> int:
-        """Cycles one tile needs to process a group of row streams in lockstep.
-
-        Parameters
-        ----------
-        row_effectual:
-            Boolean array of shape ``(tile_rows, stream_rows, lanes)``:
-            the effectual (non-zero B) positions of the dense schedule for
-            each PE row of the tile.  All rows advance together at the
-            minimum per-row AS (shared A-side staging buffers).
-        """
-        if self.config.power_gated:
-            return int(row_effectual.shape[1])
-        num_rows, stream_rows, lanes = row_effectual.shape
-        depth = self.config.pe.staging_depth
-        if stream_rows == 0:
-            return 0
-        padded = np.zeros((num_rows, stream_rows + depth, lanes), dtype=bool)
-        padded[:, :stream_rows] = row_effectual
-        position = 0
-        cycles = 0
-        row_index = np.arange(depth)
-        while position < stream_rows:
-            windows = padded[:, position + row_index, :]
-            claimed, advance, _ = self.batch_scheduler.schedule(
-                windows, advance_limit=self.refill_limit
-            )
-            padded[:, position + row_index, :] &= ~claimed
-            step = int(advance.min())
-            step = min(step, stream_rows - position)
-            position += step
-            cycles += 1
-        return cycles
-
-    def independent_streams_cycles(self, effectual: np.ndarray) -> np.ndarray:
-        """Cycles for independent streams with no inter-row synchronisation.
-
-        Used for single-row tiles and for per-PE (two-side) studies.
-        """
-        if self.config.power_gated:
-            batch, stream_rows, _ = effectual.shape
-            return np.full(batch, stream_rows, dtype=np.int64)
-        return self.batch_scheduler.stream_cycles_batch(
-            effectual, advance_limit=self.refill_limit
-        )
-
-    def tile_cycles_batch(
-        self, groups: np.ndarray, rows_per_group: Optional[np.ndarray] = None
-    ) -> np.ndarray:
-        """Cycles per work group for many tile-row groups processed at once.
+    def group_cycles(self, groups, oracle: bool = False) -> np.ndarray:
+        """Cycles per lockstep work group of one operation.
 
         Parameters
         ----------
         groups:
             Boolean array of shape ``(num_groups, tile_rows, stream_rows,
-            lanes)``.  Each group's rows advance in lockstep (shared A-side
-            staging buffers); different groups are independent.
-        rows_per_group:
-            Optional per-group dense-schedule lengths, enabling *ragged*
-            batches: group ``g`` only covers its first
-            ``rows_per_group[g]`` stream rows and every position beyond
-            them must be False (padding).  ``None`` means every group
-            spans the full ``stream_rows``.  Results are bit-identical to
-            running each group in its own exactly-sized batch, which is
-            what lets the engine fuse operations of different shapes into
-            one scheduling pass.
+            lanes)`` — or a sequence of equal-shape ``(tile_rows,
+            stream_rows, lanes)`` groups — of effectual positions.  Each
+            group's rows advance in lockstep (shared A-side staging
+            buffers); different groups are independent.
+        oracle:
+            Count with the per-cycle
+            :meth:`~repro.core.scheduler.HardwareScheduler.group_cycles`
+            oracle instead of the packed kernel.  Configurations whose
+            staging window exceeds 64 bits always use the oracle.
 
         Returns
         -------
@@ -222,166 +163,29 @@ class Accelerator:
             TensorDash cycles; summing the per-group row counts gives the
             baseline's.
         """
-        groups = np.asarray(groups, dtype=bool)
-        if groups.ndim != 4:
-            raise ValueError(
-                f"groups must be 4D (groups, tile_rows, stream_rows, lanes), got {groups.shape}"
-            )
+        groups = _as_groups(groups)
         num_groups, tile_rows, stream_rows, lanes = groups.shape
-        if rows_per_group is None:
-            rows_per_group = np.full(num_groups, stream_rows, dtype=np.int64)
-        else:
-            rows_per_group = np.asarray(rows_per_group, dtype=np.int64)
-            if rows_per_group.shape != (num_groups,):
-                raise ValueError(
-                    f"rows_per_group must have shape ({num_groups},), "
-                    f"got {rows_per_group.shape}"
-                )
         if self.config.power_gated:
-            return rows_per_group.copy()
-        if stream_rows == 0 or num_groups == 0:
-            return np.zeros(num_groups, dtype=np.int64)
-        depth = self.config.pe.staging_depth
-
-        if self.batch_scheduler.packable:
-            flat = groups.reshape(num_groups * tile_rows, stream_rows, lanes)
-            packed = np.zeros(
-                (flat.shape[0], stream_rows + depth), dtype=np.uint64
+            return np.full(num_groups, stream_rows, dtype=np.int64)
+        if oracle or not self.batch_scheduler.packable:
+            return np.array(
+                [self.scheduler.group_cycles(g, self.refill_limit) for g in groups],
+                dtype=np.int64,
             )
-            packed[:, :stream_rows] = pack_stream_rows(flat)
-            return self.tile_cycles_packed(packed, tile_rows, rows_per_group)
+        streams = num_groups * tile_rows
+        packed = np.zeros(
+            (streams, stream_rows + self.config.pe.staging_depth), dtype=np.uint64
+        )
+        packed[:, :stream_rows] = pack_stream_rows(
+            groups.reshape(streams, stream_rows, lanes)
+        )
+        return self.batch_scheduler.group_cycles_packed(
+            packed, tile_rows, np.full(num_groups, stream_rows),
+            advance_limit=self.refill_limit,
+        )
 
-        flat = groups.reshape(num_groups * tile_rows, stream_rows, lanes)
-        padded = np.zeros((flat.shape[0], stream_rows + depth, lanes), dtype=bool)
-        padded[:, :stream_rows] = flat
-
-        group_position = np.zeros(num_groups, dtype=np.int64)
-        cycles = np.zeros(num_groups, dtype=np.int64)
-        row_offsets = np.arange(depth)
-        stream_group = np.repeat(np.arange(num_groups), tile_rows)
-
-        active_groups = group_position < rows_per_group
-        while active_groups.any():
-            active_streams = active_groups[stream_group]
-            stream_idx = np.nonzero(active_streams)[0]
-            positions = group_position[stream_group[stream_idx]]
-            gather = positions[:, None] + row_offsets[None, :]
-            windows = padded[
-                stream_idx[:, None, None],
-                gather[:, :, None],
-                np.arange(lanes)[None, None, :],
-            ]
-            claimed, advance, _ = self.batch_scheduler.schedule(
-                windows, advance_limit=self.refill_limit
-            )
-            padded[
-                stream_idx[:, None, None],
-                gather[:, :, None],
-                np.arange(lanes)[None, None, :],
-            ] &= ~claimed
-            # Reduce the per-stream advance to a per-group minimum.
-            group_advance = np.full(num_groups, np.iinfo(np.int64).max, dtype=np.int64)
-            np.minimum.at(group_advance, stream_group[stream_idx], advance)
-            active_idx = np.nonzero(active_groups)[0]
-            step = np.minimum(
-                group_advance[active_idx],
-                rows_per_group[active_idx] - group_position[active_idx],
-            )
-            group_position[active_idx] += step
-            cycles[active_idx] += 1
-            active_groups = group_position < rows_per_group
-        return cycles
-
-    def tile_cycles_packed(
-        self,
-        packed_rows: np.ndarray,
-        tile_rows: int,
-        rows_per_group: np.ndarray,
-    ) -> np.ndarray:
-        """Ragged batched tile cycles on bit-packed operand rows.
-
-        This is the engine's hot kernel: the whole batch — typically every
-        work group of every operation of a layer, or of many layers — is
-        scheduled together, paying the per-cycle dispatch cost once for
-        the batch instead of once per operation.
-
-        Parameters
-        ----------
-        packed_rows:
-            ``uint64`` array of shape ``(num_groups * tile_rows,
-            max_rows + staging_depth)``; word ``[s, r]`` holds the lane
-            bitmask of stream ``s``'s dense-schedule row ``r`` (see
-            :func:`~repro.core.scheduler.pack_stream_rows`).  Streams of
-            one group are contiguous.  Rows at or beyond the group's
-            ``rows_per_group`` entry must be zero.  **Mutated in place**
-            (consumed pairs are cleared) — pass a copy to reuse it.
-        tile_rows:
-            Streams per lockstep group.
-        rows_per_group:
-            Per-group dense-schedule lengths, shape ``(num_groups,)``.
-
-        Returns
-        -------
-        numpy.ndarray
-            Per-group cycle counts, bit-identical to the boolean path.
-        """
-        if not self.batch_scheduler.packable:
-            raise ValueError("configuration does not fit 64-bit packed windows")
-        rows_per_group = np.asarray(rows_per_group, dtype=np.int64)
-        num_groups = rows_per_group.shape[0]
-        cycles = np.zeros(num_groups, dtype=np.int64)
-        if self.config.power_gated:
-            return rows_per_group.copy()
-        if num_groups == 0:
-            return cycles
-        lanes = self.config.pe.lanes
-        depth = self.config.pe.staging_depth
-        width = packed_rows.shape[1]
-        if packed_rows.shape[0] != num_groups * tile_rows:
-            raise ValueError(
-                f"expected {num_groups * tile_rows} packed streams, "
-                f"got {packed_rows.shape[0]}"
-            )
-        flat = np.ascontiguousarray(packed_rows).reshape(-1)
-        lane_mask = np.uint64((1 << lanes) - 1) if lanes < 64 else ~np.uint64(0)
-        shifts = [np.uint64(lanes * k) for k in range(depth)]
-        tile_offsets = np.arange(tile_rows, dtype=np.int64) * width
-
-        position = np.zeros(num_groups, dtype=np.int64)
-        active = position < rows_per_group
-        active_idx = np.nonzero(active)[0]
-        while active_idx.size:
-            # Streams of active groups are contiguous runs of tile_rows.
-            base = (
-                active_idx[:, None] * (tile_rows * width)
-                + tile_offsets[None, :]
-                + position[active_idx, None]
-            ).reshape(-1)
-            windows = flat[base]
-            for k in range(1, depth):
-                windows = windows | (flat[base + k] << shifts[k])
-            claimed, advance, _ = self.batch_scheduler.schedule_packed(
-                windows, advance_limit=self.refill_limit
-            )
-            flat[base] &= ~(claimed & lane_mask)
-            for k in range(1, depth):
-                flat[base + k] &= ~((claimed >> shifts[k]) & lane_mask)
-            group_advance = advance.reshape(-1, tile_rows).min(axis=1)
-            step = np.minimum(
-                group_advance, rows_per_group[active_idx] - position[active_idx]
-            )
-            position[active_idx] += step
-            cycles[active_idx] += 1
-            active_idx = active_idx[
-                position[active_idx] < rows_per_group[active_idx]
-            ]
-        return cycles
-
-    # ------------------------------------------------------------------
     def run_operation(
-        self,
-        name: str,
-        row_groups: Sequence[np.ndarray],
+        self, name: str, groups, oracle: bool = False
     ) -> OperationResult:
         """Run one operation expressed as per-tile row groups.
 
@@ -389,40 +193,27 @@ class Accelerator:
         ----------
         name:
             Operation label (``"AxW"``, ``"AxG"`` or ``"WxG"``).
-        row_groups:
-            A sequence of boolean arrays, each of shape
-            ``(tile_rows, stream_rows, lanes)``.  Each array is the work
-            one tile-row-group performs in lockstep; groups are processed
-            back to back (or on parallel tiles — the relative speedup is
+        groups:
+            As for :meth:`group_cycles`.  Groups are processed back to
+            back (or on parallel tiles — the relative speedup is
             unaffected because the baseline is scaled identically).
-
-        A 4D ndarray input takes the batched fast path
-        (:meth:`run_operation_batched`); any other sequence takes the
-        serial path (:meth:`run_operation_serial`).  Both produce
-        bit-identical results.
+        oracle:
+            Forwarded to :meth:`group_cycles`.
         """
-        if isinstance(row_groups, np.ndarray) and row_groups.ndim == 4:
-            return self.run_operation_batched(name, row_groups)
-        return self.run_operation_serial(name, row_groups)
+        groups = _as_groups(groups)
+        return self._result(
+            name, groups, int(self.group_cycles(groups, oracle=oracle).sum())
+        )
 
-    def run_operation_batched(self, name: str, groups: np.ndarray) -> OperationResult:
-        """Batched execution: schedule every group's windows at once.
-
-        This is the kernel behind the engine's ``vectorized`` backend;
-        ``groups`` must be a boolean 4D array of shape ``(num_groups,
-        tile_rows, stream_rows, lanes)``.
-        """
-        groups = np.asarray(groups, dtype=bool)
-        if groups.ndim != 4:
-            raise ValueError(
-                f"groups must be 4D (groups, tile_rows, stream_rows, lanes), got {groups.shape}"
-            )
-        num_groups, tile_rows, stream_rows, _ = groups.shape
+    def _result(
+        self, name: str, groups: np.ndarray, tensordash_cycles: int
+    ) -> OperationResult:
+        num_groups, tile_rows, stream_rows, lanes = groups.shape
         return OperationResult(
             name=name,
             baseline_cycles=num_groups * stream_rows,
-            tensordash_cycles=int(self.tile_cycles_batch(groups).sum()),
-            macs_total=num_groups * tile_rows * stream_rows * self.config.pe.lanes,
+            tensordash_cycles=tensordash_cycles,
+            macs_total=num_groups * tile_rows * stream_rows * lanes,
             macs_effectual=int(groups.sum()),
         )
 
@@ -437,51 +228,38 @@ class Accelerator:
         """Run many operations through shared ragged scheduling batches.
 
         ``units`` is a sequence of ``(name, groups)`` pairs as accepted by
-        :meth:`run_operation_batched`; the units may come from different
+        :meth:`run_operation`; the units may come from different
         operations *and different layers* — each work group is an
         independent lockstep unit, so fusing them into one batch changes
         nothing about the schedule while amortising the per-cycle
         dispatch cost over the whole batch.  Results are returned in
-        input order and are bit-identical to calling
-        :meth:`run_operation_batched` per unit.
+        input order and are bit-identical to calling :meth:`run_operation`
+        per unit.
 
         Units are sorted by stream-row count and merged into buckets of
         at most :data:`BATCH_WORD_BUDGET` packed words *after padding*,
         with padding capped at half a bucket — this bounds peak memory
         and keeps the first-touch cost of fresh allocations proportional
         to the useful data.  Configurations whose staging window exceeds
-        64 bits fall back to the per-unit boolean path.
+        64 bits run each unit on the oracle.
         """
-        results: List[Optional[OperationResult]] = [None] * len(units)
-        if not units:
-            return []
+        units = [(name, _as_groups(groups)) for name, groups in units]
         if not self.batch_scheduler.packable or self.config.power_gated:
-            for index, (name, groups) in enumerate(units):
-                results[index] = self.run_operation_batched(name, groups)
-            return results
-
-        depth = self.config.pe.staging_depth
-        shapes = []
-        for name, groups in units:
-            groups = np.asarray(groups, dtype=bool)
-            if groups.ndim != 4:
-                raise ValueError(
-                    f"groups must be 4D (groups, tile_rows, stream_rows, lanes), "
-                    f"got {groups.shape}"
-                )
-            shapes.append(groups.shape)
-        tile_rows = {shape[1] for shape in shapes if shape[0]}
+            return [self.run_operation(name, groups) for name, groups in units]
+        results: List[Optional[OperationResult]] = [None] * len(units)
+        tile_rows = {groups.shape[1] for _, groups in units if groups.shape[0]}
         if len(tile_rows) > 1:
             raise ValueError(f"units mix tile_rows values: {sorted(tile_rows)}")
 
-        order = sorted(range(len(units)), key=lambda i: shapes[i][2])
+        depth = self.config.pe.staging_depth
+        order = sorted(range(len(units)), key=lambda i: units[i][1].shape[2])
         bucket: List[int] = []
         bucket_streams = 0
         bucket_words = 0
         for index in order:
-            num_groups, rows_in_tile, stream_rows, _ = shapes[index]
+            num_groups, rows_in_tile, stream_rows, _ = units[index][1].shape
             if num_groups == 0 or stream_rows == 0:
-                results[index] = self.run_operation_batched(*units[index])
+                results[index] = self.run_operation(*units[index])
                 continue
             streams = num_groups * rows_in_tile
             words = streams * (stream_rows + depth)
@@ -492,86 +270,58 @@ class Accelerator:
                 padded > self.BATCH_WORD_BUDGET
                 or padded > 2 * (bucket_words + words)
             ):
-                self._run_bucket(bucket, units, shapes, results)
+                self._run_bucket(bucket, units, results)
                 bucket, bucket_streams, bucket_words = [], 0, 0
             bucket.append(index)
             bucket_streams += streams
             bucket_words += words
         if bucket:
-            self._run_bucket(bucket, units, shapes, results)
+            self._run_bucket(bucket, units, results)
         return results
 
     def _run_bucket(
         self,
         bucket: List[int],
-        units: Sequence[Tuple[str, np.ndarray]],
-        shapes: List[tuple],
+        units: List[Tuple[str, np.ndarray]],
         results: List[Optional[OperationResult]],
     ) -> None:
         """Schedule one merged bucket and scatter its per-unit results."""
         depth = self.config.pe.staging_depth
         lanes = self.config.pe.lanes
-        tile_rows = shapes[bucket[0]][1]
-        max_rows = max(shapes[i][2] for i in bucket)
-        width = max_rows + depth
-        total_groups = sum(shapes[i][0] for i in bucket)
+        shapes = [units[i][1].shape for i in bucket]
+        tile_rows = shapes[0][1]
+        width = max(shape[2] for shape in shapes) + depth
+        total_groups = sum(shape[0] for shape in shapes)
         packed = np.zeros((total_groups * tile_rows, width), dtype=np.uint64)
         rows_per_group = np.empty(total_groups, dtype=np.int64)
         offset = 0
-        for index in bucket:
-            groups = np.asarray(units[index][1], dtype=bool)
-            num_groups, _, stream_rows, _ = shapes[index]
+        for index, (num_groups, _, stream_rows, _) in zip(bucket, shapes):
             packed[
                 offset * tile_rows : (offset + num_groups) * tile_rows, :stream_rows
-            ] = pack_stream_rows(groups.reshape(-1, stream_rows, lanes))
+            ] = pack_stream_rows(units[index][1].reshape(-1, stream_rows, lanes))
             rows_per_group[offset : offset + num_groups] = stream_rows
             offset += num_groups
-        cycles = self.tile_cycles_packed(packed, tile_rows, rows_per_group)
+        cycles = self.batch_scheduler.group_cycles_packed(
+            packed, tile_rows, rows_per_group, advance_limit=self.refill_limit
+        )
         offset = 0
-        for index in bucket:
+        for index, (num_groups, *_) in zip(bucket, shapes):
             name, groups = units[index]
-            groups = np.asarray(groups, dtype=bool)
-            num_groups, _, stream_rows, _ = shapes[index]
-            results[index] = OperationResult(
-                name=name,
-                baseline_cycles=num_groups * stream_rows,
-                tensordash_cycles=int(
-                    cycles[offset : offset + num_groups].sum()
-                ),
-                macs_total=num_groups * tile_rows * stream_rows * lanes,
-                macs_effectual=int(groups.sum()),
+            results[index] = self._result(
+                name, groups, int(cycles[offset : offset + num_groups].sum())
             )
             offset += num_groups
-
-    def run_operation_serial(
-        self, name: str, row_groups: Sequence[np.ndarray]
-    ) -> OperationResult:
-        """Serial execution: one group at a time through :meth:`tile_cycles`."""
-        baseline_cycles = 0
-        tensordash_cycles = 0
-        macs_total = 0
-        macs_effectual = 0
-        lanes = self.config.pe.lanes
-
-        for group in row_groups:
-            group = np.asarray(group, dtype=bool)
-            if group.ndim != 3:
-                raise ValueError(
-                    f"row group must be 3D (tile_rows, stream_rows, lanes), got {group.shape}"
-                )
-            stream_rows = group.shape[1]
-            baseline_cycles += self.baseline_cycles_for_rows(stream_rows)
-            tensordash_cycles += self.tile_cycles(group)
-            macs_total += group.shape[0] * stream_rows * lanes
-            macs_effectual += int(group.sum())
-        return OperationResult(
-            name=name,
-            baseline_cycles=baseline_cycles,
-            tensordash_cycles=tensordash_cycles,
-            macs_total=macs_total,
-            macs_effectual=macs_effectual,
-        )
 
     def describe(self) -> str:
         """Summary string for reports."""
         return self.config.describe()
+
+
+def _as_groups(groups) -> np.ndarray:
+    """An operation's work groups as one boolean 4D array."""
+    groups = np.asarray(groups, dtype=bool)
+    if groups.ndim != 4:
+        raise ValueError(
+            f"groups must be 4D (groups, tile_rows, stream_rows, lanes), got {groups.shape}"
+        )
+    return groups

@@ -74,13 +74,8 @@ class TileWorkPartitioner:
         ``groups`` is the usual ``(num_groups, tile_rows, stream_rows,
         lanes)`` boolean array of effectual positions.
         """
-        groups = np.asarray(groups, dtype=bool)
-        if groups.ndim != 4:
-            raise ValueError(
-                f"groups must be 4D (groups, tile_rows, stream_rows, lanes), got {groups.shape}"
-            )
-        num_groups, _, stream_rows, _ = groups.shape
-        per_group_cycles = self.accelerator.tile_cycles_batch(groups)
+        per_group_cycles = self.accelerator.group_cycles(groups)
+        num_groups, _, stream_rows, _ = np.shape(groups)
         tensordash: List[int] = []
         baseline: List[int] = []
         for assignment in self.partition(num_groups):

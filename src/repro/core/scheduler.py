@@ -12,19 +12,25 @@ selections from the Z vector before passing it to the next level.  The
 software model here processes lanes in the same level order, which produces
 bit-identical schedules to the combinational circuit.
 
-Two implementations are provided:
+Cycles are counted in exactly two places, both here:
 
-* :class:`HardwareScheduler` — a direct, readable model of a single
-  scheduling step, used by the PE/tile models and by the unit tests.
-* :class:`BatchScheduler` — a numpy-vectorised equivalent that schedules
-  many independent staging windows at once, used by the cycle simulator to
-  keep full-model experiments tractable.
+* :class:`HardwareScheduler` — the paper-faithful oracle: a readable model
+  of one scheduling step (:meth:`~HardwareScheduler.schedule_step`) and
+  the one per-cycle loop over a lockstep group of PE rows
+  (:meth:`~HardwareScheduler.lockstep_schedules`), used by the PE/tile
+  models, the ``reference`` engine backend and every equivalence test.
+* :class:`BatchScheduler` — the fast kernel: the same decisions on
+  bit-packed ``uint64`` windows (:meth:`~BatchScheduler.schedule_packed`)
+  driven over ragged batches of groups
+  (:meth:`~BatchScheduler.group_cycles_packed`), used by the cycle
+  simulator to keep full-model experiments tractable.  Staging windows
+  wider than 64 bits run on the oracle instead.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -181,7 +187,71 @@ class HardwareScheduler:
             advance += 1
         return max(advance, 1)
 
-    # -- stream processing ---------------------------------------------------
+    # -- lockstep groups ----------------------------------------------------
+    def lockstep_schedules(
+        self, group: np.ndarray, advance_limit: Optional[int] = None
+    ) -> Iterator[Tuple[int, List[Schedule]]]:
+        """The per-cycle oracle for one lockstep group of PE rows.
+
+        This is the one readable loop every cycle count in the model is
+        checked against.  Each cycle, every row of the group schedules
+        its own staging window with :meth:`schedule_step`, its consumed
+        pairs are cleared, and the group advances by the *minimum* per-row
+        AS (the rows share A-side staging buffers, so they move through
+        the dense schedule together).
+
+        Parameters
+        ----------
+        group:
+            Boolean array of shape ``(rows, stream_rows, lanes)``: per PE
+            row, which positions of the dense schedule hold effectual
+            pairs.  Not modified.
+        advance_limit:
+            Per-cycle staging refill limit forwarded to
+            :meth:`schedule_step` (``None`` = unlimited).
+
+        Yields
+        ------
+        (position, schedules):
+            Per cycle, the dense-schedule row the window starts at and
+            each PE row's :class:`Schedule`.
+        """
+        group = np.asarray(group, dtype=bool)
+        if group.ndim != 3 or group.shape[2] != self.pattern.lanes:
+            raise ValueError(
+                f"expected a (rows, stream_rows, {self.pattern.lanes}) group, "
+                f"got shape {group.shape}"
+            )
+        num_rows, stream_rows, lanes = group.shape
+        depth = self.pattern.staging_depth
+        pending = group.copy()
+        position = 0
+        while position < stream_rows:
+            visible = min(depth, stream_rows - position)
+            schedules: List[Schedule] = []
+            for row in range(num_rows):
+                window = np.zeros((depth, lanes), dtype=bool)
+                window[:visible] = pending[row, position : position + visible]
+                schedule = self.schedule_step(window, advance_limit=advance_limit)
+                # Clear the consumed pairs from the pending stream.
+                for selection in schedule.selections:
+                    if selection is None:
+                        continue
+                    step, lane = selection
+                    pending[row, position + step, lane] = False
+                schedules.append(schedule)
+            yield position, schedules
+            position += min(
+                min(schedule.advance, stream_rows - position)
+                for schedule in schedules
+            )
+
+    def group_cycles(
+        self, group: np.ndarray, advance_limit: Optional[int] = None
+    ) -> int:
+        """Cycles one lockstep group needs (see :meth:`lockstep_schedules`)."""
+        return sum(1 for _ in self.lockstep_schedules(group, advance_limit))
+
     def process_stream(
         self,
         effectual_rows: np.ndarray,
@@ -203,59 +273,35 @@ class HardwareScheduler:
         (cycles, schedules):
             Total cycles needed and the per-cycle schedules.
         """
-        rows, lanes = effectual_rows.shape
-        if lanes != self.pattern.lanes:
+        effectual_rows = np.asarray(effectual_rows, dtype=bool)
+        if effectual_rows.ndim != 2 or effectual_rows.shape[1] != self.pattern.lanes:
             raise ValueError(
-                f"stream has {lanes} lanes, scheduler expects {self.pattern.lanes}"
+                f"stream has shape {effectual_rows.shape}, scheduler expects "
+                f"{self.pattern.lanes} lanes"
             )
-        depth = self.pattern.staging_depth
-        pending = effectual_rows.copy()
-        schedules: List[Schedule] = []
-        position = 0
-        cycles = 0
-        while position < rows:
-            window = np.zeros((depth, lanes), dtype=bool)
-            visible = min(depth, rows - position)
-            window[:visible] = pending[position : position + visible]
-            schedule = self.schedule_step(window, advance_limit=advance_limit)
-            # Clear the consumed pairs from the pending stream.
-            for selection in schedule.selections:
-                if selection is None:
-                    continue
-                step, lane = selection
-                pending[position + step, lane] = False
-            advance = min(schedule.advance, rows - position)
-            position += advance
-            cycles += 1
-            schedules.append(schedule)
-        return cycles, schedules
+        schedules = [
+            row_schedules[0]
+            for _, row_schedules in self.lockstep_schedules(
+                effectual_rows[None], advance_limit
+            )
+        ]
+        return len(schedules), schedules
 
 
 class BatchScheduler:
-    """Vectorised scheduler over many independent staging windows.
+    """The fast kernel: the scheduler over many bit-packed windows at once.
 
-    The hardware scheduler is combinational and stateless, so scheduling S
-    independent windows is embarrassingly parallel.  This class expresses
-    the priority walk as numpy operations over the batch dimension, which
-    the cycle simulator relies on to keep full-model experiments
-    tractable.  Its decisions are bit-identical to
-    :class:`HardwareScheduler` (covered by a property test).
+    The hardware scheduler is combinational and stateless, so scheduling
+    many independent staging windows is embarrassingly parallel.  Each
+    window is one ``uint64`` word (bit ``step * lanes + lane`` is staging
+    position ``(step, lane)``), so the kernel is only available when a
+    whole window fits 64 bits (``staging_depth * lanes <= 64``, i.e.
+    :attr:`packable`).  Per scheduling cycle it touches 8 bytes per window,
+    which is what makes whole-layer batches cheap.
 
-    Two equivalent kernels are kept:
-
-    * :meth:`schedule` — boolean windows, vectorised *per level*: lanes
-      within a hardware level have disjoint option sets (guaranteed by
-      :meth:`~repro.core.interconnect.ConnectivityPattern.level_groups`
-      and asserted at construction), so a whole level's selections are
-      computed from one snapshot with a single gather/argmax/scatter
-      round instead of a per-lane Python walk.
-    * :meth:`schedule_packed` — the same decisions on *bit-packed*
-      windows, one ``uint64`` word per window (available whenever
-      ``staging_depth * lanes <= 64``, i.e. :attr:`packable`).  Bit ``i``
-      of the word is staging position ``(i // lanes, i % lanes)``.  This
-      is the kernel behind the engine's batched fast path: per scheduling
-      cycle it touches 8 bytes per window instead of a 48-byte boolean
-      window, which is what makes whole-layer batches cheap.
+    Its decisions are bit-identical to the :class:`HardwareScheduler`
+    oracle (property-tested); callers fall back to the oracle for wider
+    windows instead of keeping a third implementation.
     """
 
     def __init__(self, pattern: Optional[ConnectivityPattern] = None):
@@ -263,33 +309,16 @@ class BatchScheduler:
         groups = self.pattern.level_groups()
         if not self.pattern.validate_level_groups(groups):  # pragma: no cover
             raise AssertionError("level groups overlap; scheduler invariant broken")
-        self._lane_order = [lane for group in groups for lane in group]
-        # Pre-compute the option coordinates per lane for fast indexing.
-        self._options = [
-            self.pattern.options_for_lane(lane) for lane in range(self.pattern.lanes)
-        ]
         depth, lanes = self.pattern.staging_depth, self.pattern.lanes
-        width = depth * lanes
-        # -- level tables for the boolean kernel -------------------------
-        # Flat (step * lanes + lane) option indices per level, padded with
-        # a sentinel column that is always False, so one gather/argmax
-        # serves every lane of the level at once.
-        self._sentinel = width
-        self._level_tables = []
-        for group in groups:
-            max_opts = max(len(self._options[lane]) for lane in group)
-            table = np.full((len(group), max_opts), self._sentinel, dtype=np.int64)
-            for i, lane in enumerate(group):
-                for rank, (step, src) in enumerate(self._options[lane]):
-                    table[i, rank] = step * lanes + src
-            self._level_tables.append((table, np.arange(len(group))))
-        # -- masks for the bit-packed kernel ------------------------------
         #: Whether a whole staging window fits one uint64 word.
-        self.packable = width <= 64
+        self.packable = depth * lanes <= 64
         if self.packable:
             one = np.uint64(1)
             self._packed_opts = [
-                [one << np.uint64(step * lanes + src) for step, src in self._options[lane]]
+                [
+                    one << np.uint64(step * lanes + src)
+                    for step, src in self.pattern.options_for_lane(lane)
+                ]
                 for lane in range(lanes)
             ]
             self._packed_levels = groups
@@ -297,69 +326,13 @@ class BatchScheduler:
                 np.uint64(((1 << lanes) - 1) << (lanes * row)) for row in range(depth)
             ]
 
-    def schedule(
-        self, effectual: np.ndarray, advance_limit: Optional[int] = None
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Schedule a batch of windows.
-
-        Parameters
-        ----------
-        effectual:
-            Boolean array of shape ``(batch, depth, lanes)`` of pending
-            effectual pairs.
-        advance_limit:
-            Maximum rows the staging buffers can refill this cycle (the
-            scratchpad banking limit the memory hierarchy imposes);
-            ``None`` means unlimited.  Identical to the
-            :class:`HardwareScheduler` clamp, so the two implementations
-            stay bit-identical under any limit.
-
-        Returns
-        -------
-        (claimed, advance, busy):
-            ``claimed`` is a boolean array of the same shape marking the
-            pairs consumed this cycle; ``advance`` is the per-window AS
-            count; ``busy`` is the per-window number of busy lanes.
-        """
-        batch, depth, lanes = effectual.shape
-        if depth != self.pattern.staging_depth or lanes != self.pattern.lanes:
+    def _require_packable(self) -> None:
+        if not self.packable:
             raise ValueError(
-                f"expected windows of shape (*, {self.pattern.staging_depth}, "
-                f"{self.pattern.lanes}), got {effectual.shape}"
+                f"pattern (depth={self.pattern.staging_depth}, "
+                f"lanes={self.pattern.lanes}) does not fit a 64-bit window"
             )
-        # Flat windows with one sentinel column (always False) appended, so
-        # idle lanes can "claim" the sentinel unconditionally and the
-        # scatter needs no masking.
-        width = depth * lanes
-        flat = np.zeros((batch, width + 1), dtype=bool)
-        flat[:, :width] = effectual.reshape(batch, width)
-        claimed_flat = np.zeros_like(flat)
-        busy = np.zeros(batch, dtype=np.int64)
-        batch_index = np.arange(batch)
 
-        for table, lane_range in self._level_tables:
-            gathered = flat[:, table]              # (batch, level_lanes, opts)
-            available = gathered.any(axis=2)       # (batch, level_lanes)
-            first = gathered.argmax(axis=2)        # first True == priority pick
-            columns = table[lane_range[None, :], first]
-            columns = np.where(available, columns, self._sentinel)
-            flat[batch_index[:, None], columns] = False
-            claimed_flat[batch_index[:, None], columns] = True
-            busy += available.sum(axis=1)
-
-        claimed = claimed_flat[:, :width].reshape(batch, depth, lanes)
-        remaining = flat[:, :width].reshape(batch, depth, lanes)
-        # AS: leading fully-drained rows, at least 1.
-        row_clear = ~remaining.any(axis=2)          # (batch, depth)
-        advance = np.cumprod(row_clear, axis=1).sum(axis=1)
-        advance = np.maximum(advance, 1)
-        if advance_limit is not None:
-            if advance_limit < 1:
-                raise ValueError(f"advance_limit must be >= 1, got {advance_limit}")
-            advance = np.minimum(advance, advance_limit)
-        return claimed, advance.astype(np.int64), busy
-
-    # -- bit-packed kernel ---------------------------------------------------
     def schedule_packed(
         self, windows: np.ndarray, advance_limit: Optional[int] = None
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -367,17 +340,12 @@ class BatchScheduler:
 
         Bit ``step * lanes + lane`` of a window word marks a pending
         effectual pair at staging position ``(step, lane)``.  Returns
-        ``(claimed, advance, busy)`` where ``claimed`` is a word per
-        window holding the consumed bits — decisions are bit-identical to
-        :meth:`schedule` on the unpacked windows (property-tested).
-
-        Only available when :attr:`packable` (``depth * lanes <= 64``).
+        ``(claimed, advance, busy)``: a word per window holding the
+        consumed bits, the per-window AS count (clamped to
+        ``advance_limit`` like :meth:`HardwareScheduler.schedule_step`)
+        and the per-window number of busy lanes.
         """
-        if not self.packable:
-            raise ValueError(
-                f"pattern (depth={self.pattern.staging_depth}, "
-                f"lanes={self.pattern.lanes}) does not fit a 64-bit window"
-            )
+        self._require_packable()
         zero = np.uint64(0)
         remaining = windows.copy()
         claimed = np.zeros_like(windows)
@@ -408,54 +376,117 @@ class BatchScheduler:
             advance = np.minimum(advance, advance_limit)
         return claimed, advance, busy
 
-    def stream_cycles(
-        self, effectual_rows: np.ndarray, advance_limit: Optional[int] = None
-    ) -> int:
-        """Cycles for a single stream, via the batched kernel (convenience)."""
-        return int(
-            self.stream_cycles_batch(
-                effectual_rows[None, :, :], advance_limit=advance_limit
-            )[0]
-        )
-
-    def stream_cycles_batch(
-        self, effectual_rows: np.ndarray, advance_limit: Optional[int] = None
+    def group_cycles_packed(
+        self,
+        packed_rows: np.ndarray,
+        tile_rows: int,
+        rows_per_group: np.ndarray,
+        advance_limit: Optional[int] = None,
     ) -> np.ndarray:
-        """Cycles for a batch of equally-long streams processed independently.
+        """Cycles of many ragged lockstep groups, scheduled together.
+
+        The batched equivalent of :meth:`HardwareScheduler.group_cycles`:
+        every active window of every group is scheduled in one
+        :meth:`schedule_packed` call per cycle, so the per-cycle dispatch
+        cost is paid once for the whole batch — typically every work group
+        of every operation of a layer, or of many layers.
 
         Parameters
         ----------
-        effectual_rows:
-            Boolean array of shape ``(batch, rows, lanes)``.
+        packed_rows:
+            ``uint64`` array of shape ``(num_groups * tile_rows,
+            max_rows + staging_depth)``; word ``[s, r]`` holds the lane
+            bitmask of stream ``s``'s dense-schedule row ``r`` (see
+            :func:`pack_stream_rows`).  Streams of one group are
+            contiguous.  Rows at or beyond the group's ``rows_per_group``
+            entry must be zero.  **Mutated in place** (consumed pairs are
+            cleared) — pass a copy to reuse it.
+        tile_rows:
+            Streams per lockstep group.
+        rows_per_group:
+            Per-group dense-schedule lengths, shape ``(num_groups,)``.
         advance_limit:
-            Per-cycle staging refill limit forwarded to :meth:`schedule`.
+            Per-cycle staging refill limit forwarded to
+            :meth:`schedule_packed`.
 
         Returns
         -------
         numpy.ndarray
-            Per-stream cycle counts.
+            Per-group cycle counts.
         """
-        batch, rows, lanes = effectual_rows.shape
+        self._require_packable()
+        rows_per_group = np.asarray(rows_per_group, dtype=np.int64)
+        num_groups = rows_per_group.shape[0]
+        cycles = np.zeros(num_groups, dtype=np.int64)
+        if num_groups == 0:
+            return cycles
+        lanes = self.pattern.lanes
         depth = self.pattern.staging_depth
-        if rows == 0:
-            return np.zeros(batch, dtype=np.int64)
-        # Pad with empty rows so windows never run off the end.
-        padded = np.zeros((batch, rows + depth, lanes), dtype=bool)
-        padded[:, :rows] = effectual_rows
-        position = np.zeros(batch, dtype=np.int64)
-        cycles = np.zeros(batch, dtype=np.int64)
-        active = position < rows
-        row_index = np.arange(depth)
-        while active.any():
-            idx = np.nonzero(active)[0]
-            gather = position[idx, None] + row_index[None, :]
-            windows = padded[idx[:, None, None], gather[:, :, None], np.arange(lanes)[None, None, :]]
-            claimed, advance, _ = self.schedule(windows, advance_limit=advance_limit)
-            # Clear consumed pairs in the padded stream.
-            padded[idx[:, None, None], gather[:, :, None], np.arange(lanes)[None, None, :]] &= ~claimed
-            remaining_rows = rows - position[idx]
-            step_advance = np.minimum(advance, remaining_rows)
-            position[idx] += step_advance
-            cycles[idx] += 1
-            active = position < rows
+        width = packed_rows.shape[1]
+        if packed_rows.shape[0] != num_groups * tile_rows:
+            raise ValueError(
+                f"expected {num_groups * tile_rows} packed streams, "
+                f"got {packed_rows.shape[0]}"
+            )
+        flat = np.ascontiguousarray(packed_rows).reshape(-1)
+        lane_mask = np.uint64((1 << lanes) - 1) if lanes < 64 else ~np.uint64(0)
+        shifts = [np.uint64(lanes * k) for k in range(depth)]
+        tile_offsets = np.arange(tile_rows, dtype=np.int64) * width
+
+        position = np.zeros(num_groups, dtype=np.int64)
+        active_idx = np.nonzero(position < rows_per_group)[0]
+        while active_idx.size:
+            # Streams of active groups are contiguous runs of tile_rows.
+            base = (
+                active_idx[:, None] * (tile_rows * width)
+                + tile_offsets[None, :]
+                + position[active_idx, None]
+            ).reshape(-1)
+            windows = flat[base]
+            for k in range(1, depth):
+                windows = windows | (flat[base + k] << shifts[k])
+            claimed, advance, _ = self.schedule_packed(
+                windows, advance_limit=advance_limit
+            )
+            flat[base] &= ~(claimed & lane_mask)
+            for k in range(1, depth):
+                flat[base + k] &= ~((claimed >> shifts[k]) & lane_mask)
+            group_advance = advance.reshape(-1, tile_rows).min(axis=1)
+            step = np.minimum(
+                group_advance, rows_per_group[active_idx] - position[active_idx]
+            )
+            position[active_idx] += step
+            cycles[active_idx] += 1
+            active_idx = active_idx[
+                position[active_idx] < rows_per_group[active_idx]
+            ]
         return cycles
+
+    def stream_cycles(
+        self, effectual_rows: np.ndarray, advance_limit: Optional[int] = None
+    ) -> int:
+        """Cycles for a single ``(rows, lanes)`` stream.
+
+        Runs :meth:`group_cycles_packed` with one single-row group, or the
+        :class:`HardwareScheduler` oracle when the window does not fit 64
+        bits.
+        """
+        effectual_rows = np.asarray(effectual_rows, dtype=bool)
+        if not self.packable:
+            cycles, _ = HardwareScheduler(self.pattern).process_stream(
+                effectual_rows, advance_limit=advance_limit
+            )
+            return cycles
+        if effectual_rows.ndim != 2 or effectual_rows.shape[1] != self.pattern.lanes:
+            raise ValueError(
+                f"stream has shape {effectual_rows.shape}, scheduler expects "
+                f"{self.pattern.lanes} lanes"
+            )
+        rows = effectual_rows.shape[0]
+        packed = np.zeros((1, rows + self.pattern.staging_depth), dtype=np.uint64)
+        packed[:, :rows] = pack_stream_rows(effectual_rows[None])
+        return int(
+            self.group_cycles_packed(
+                packed, 1, np.array([rows]), advance_limit=advance_limit
+            )[0]
+        )

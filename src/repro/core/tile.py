@@ -17,13 +17,13 @@ is the effect Figs. 17 and 18 quantify.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.core.config import PEConfig, TileConfig
 from repro.core.interconnect import ConnectivityPattern
-from repro.core.scheduler import BatchScheduler, HardwareScheduler
+from repro.core.scheduler import HardwareScheduler
 from repro.core.pe import BaselinePE
 
 
@@ -100,16 +100,18 @@ class TensorDashTile:
             lanes=self.pe_config.lanes, staging_depth=self.pe_config.staging_depth
         )
         self.scheduler = HardwareScheduler(self.pattern)
-        self.batch_scheduler = BatchScheduler(self.pattern)
 
     def process(
         self,
         a_streams: Sequence[np.ndarray],
         b_streams: Sequence[np.ndarray],
         compute_outputs: bool = True,
-        vectorized: Optional[bool] = None,
     ) -> TileResult:
         """Process per-column A streams against per-row B streams.
+
+        Runs the :meth:`~repro.core.scheduler.HardwareScheduler.lockstep_schedules`
+        oracle over the rows' B-side zero patterns and replays each
+        cycle's selections functionally.
 
         Parameters
         ----------
@@ -120,18 +122,9 @@ class TensorDashTile:
             extracted from these.
         compute_outputs:
             When False, skip the functional accumulation and only count
-            cycles (used by the large-scale cycle simulator).
-        vectorized:
-            Route the cycle-only accounting through the
-            :class:`~repro.core.scheduler.BatchScheduler` (all tile rows
-            scheduled in one numpy batch per cycle) instead of the
-            per-row Python loop.  Defaults to automatic: vectorized when
-            ``compute_outputs`` is False.  Both paths are bit-identical
-            (the schedulers are property-tested equivalents); functional
-            output accumulation always uses the per-row loop.
+            cycles.
         """
         lanes = self.pe_config.lanes
-        depth = self.pe_config.staging_depth
         a = _stack_streams(a_streams, lanes)
         b = _stack_streams(b_streams, lanes)
         if a.shape[1] != b.shape[1]:
@@ -141,93 +134,27 @@ class TensorDashTile:
         rows_len = a.shape[1]
 
         outputs = np.zeros((num_rows, num_columns), dtype=np.float64)
-        if rows_len == 0:
-            return TileResult(0, outputs, 0, 0, 0)
-
-        pending = b != 0                     # (rows, rows_len, lanes)
-        pending = pending.copy()
-        if vectorized is None:
-            vectorized = not compute_outputs
-        if vectorized and not compute_outputs:
-            return self._process_cycles_vectorized(
-                pending, num_columns, rows_len, lanes, outputs
-            )
-        position = 0
         cycles = 0
         stall_cycles = 0
         effectual_macs = 0
-
-        while position < rows_len:
-            advances: List[int] = []
-            any_idle_row = False
-            for row in range(num_rows):
-                window = np.zeros((depth, lanes), dtype=bool)
-                visible = min(depth, rows_len - position)
-                window[:visible] = pending[row, position : position + visible]
-                schedule = self.scheduler.schedule_step(window)
-                if schedule.busy_lanes == 0:
-                    any_idle_row = True
+        for position, schedules in self.scheduler.lockstep_schedules(b != 0):
+            cycles += 1
+            advances = {min(s.advance, rows_len - position) for s in schedules}
+            # A stall: some row idles, or rows could have advanced unevenly.
+            if len(advances) > 1 or any(s.busy_lanes == 0 for s in schedules):
+                stall_cycles += 1
+            for row, schedule in enumerate(schedules):
                 for selection in schedule.selections:
                     if selection is None:
                         continue
                     step, lane = selection
                     stream_row = position + step
-                    pending[row, stream_row, lane] = False
                     effectual_macs += num_columns
                     if compute_outputs:
                         outputs[row] += (
                             a[:, stream_row, lane] * b[row, stream_row, lane]
                         )
-                advances.append(min(schedule.advance, rows_len - position))
-            step_advance = min(advances)
-            if any_idle_row or len(set(advances)) > 1:
-                stall_cycles += 1
-            position += step_advance
-            cycles += 1
 
-        total = rows_len * lanes * num_rows * num_columns
-        return TileResult(
-            cycles=cycles,
-            outputs=outputs,
-            macs_performed=effectual_macs,
-            macs_total=total,
-            stall_cycles=stall_cycles,
-        )
-
-    def _process_cycles_vectorized(
-        self,
-        pending: np.ndarray,
-        num_columns: int,
-        rows_len: int,
-        lanes: int,
-        outputs: np.ndarray,
-    ) -> TileResult:
-        """Cycle-only fast path: all tile rows scheduled as one numpy batch.
-
-        Mirrors the serial loop exactly — same lockstep minimum-advance
-        rule, same stall and effectual-MAC accounting — but performs one
-        :meth:`BatchScheduler.schedule` call per cycle over every row
-        instead of one :meth:`HardwareScheduler.schedule_step` per row.
-        """
-        num_rows = pending.shape[0]
-        depth = self.pe_config.staging_depth
-        padded = np.zeros((num_rows, rows_len + depth, lanes), dtype=bool)
-        padded[:, :rows_len] = pending
-        row_index = np.arange(depth)
-        position = 0
-        cycles = 0
-        stall_cycles = 0
-        effectual_macs = 0
-        while position < rows_len:
-            windows = padded[:, position + row_index, :]
-            claimed, advance, busy = self.batch_scheduler.schedule(windows)
-            padded[:, position + row_index, :] &= ~claimed
-            effectual_macs += int(claimed.sum()) * num_columns
-            advances = np.minimum(advance, rows_len - position)
-            if (busy == 0).any() or np.unique(advances).size > 1:
-                stall_cycles += 1
-            position += int(advances.min())
-            cycles += 1
         total = rows_len * lanes * num_rows * num_columns
         return TileResult(
             cycles=cycles,

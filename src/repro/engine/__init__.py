@@ -1,4 +1,4 @@
-"""Pluggable simulation engine: backends, parallel sharding, result cache.
+"""Pluggable simulation engine: backends and result cache.
 
 This package is the execution layer between the accelerator model
 (:mod:`repro.core`) and everything that drives whole-model experiments
@@ -7,15 +7,13 @@ separates *what* is simulated (the bit-exact hierarchical-scheduler
 semantics) from *how* it is executed:
 
 * :mod:`repro.engine.backend` — the :class:`SimulationBackend` protocol,
-  the ``reference`` oracle and the numpy ``vectorized`` fast path;
-* :mod:`repro.engine.parallel` — the ``parallel`` backend sharding traced
-  layers across a multiprocessing pool;
+  the ``reference`` oracle and the bit-packed ``vectorized`` fast path;
 * :mod:`repro.engine.cache` — the content-addressed on-disk result cache;
 * :mod:`repro.engine.engine` — :class:`SimulationEngine`, which composes a
   backend with the cache stack (disk and/or in-process memo) and tracks
   :class:`EngineStats`;
 * :mod:`repro.engine.options` — :func:`resolve_engine_options`, the single
-  place the backend/jobs/cache-dir precedence (argument > ``REPRO_*`` env
+  place the backend/cache-dir precedence (argument > ``REPRO_*`` env
   var > default) is decided for every entry point.
 """
 
@@ -25,17 +23,14 @@ from repro.engine.backend import (
     VectorizedBackend,
     available_backends,
     get_backend,
-    register_backend,
 )
 from repro.engine.cache import (
     CACHE_SCHEMA_VERSION,
     ResultCache,
-    SharedResultCache,
     config_fingerprint,
     layer_key,
     trace_fingerprint,
 )
-from repro.engine.parallel import ParallelBackend, default_jobs
 from repro.engine.engine import EngineStats, SimulationEngine
 from repro.engine.options import (
     DEFAULT_BACKEND,
@@ -47,13 +42,9 @@ __all__ = [
     "SimulationBackend",
     "ReferenceBackend",
     "VectorizedBackend",
-    "ParallelBackend",
     "available_backends",
     "get_backend",
-    "register_backend",
-    "default_jobs",
     "ResultCache",
-    "SharedResultCache",
     "CACHE_SCHEMA_VERSION",
     "config_fingerprint",
     "trace_fingerprint",

@@ -7,25 +7,19 @@ produced by :mod:`repro.simulation.streams` — and returns the same
 so all of them are bit-identical by construction (and by test):
 
 ``reference``
-    The readable oracle: a straight Python loop that advances one tile-row
-    group at a time, one cycle at a time, driving one
-    :class:`repro.core.scheduler.HardwareScheduler` step per PE row.  This
-    is the per-PE loop the rest of the codebase is validated against.
+    The readable oracle: advances one tile-row group at a time, one cycle
+    at a time, through
+    :meth:`repro.core.scheduler.HardwareScheduler.lockstep_schedules` —
+    one scheduler step per PE row.  This is the per-PE loop the rest of
+    the codebase is validated against.
 
 ``vectorized``
-    Routes whole batches of staging windows through the numpy
-    :class:`repro.core.scheduler.BatchScheduler` twin — every work group of
-    an operation is scheduled at once, amortising the Python interpreter
-    over the batch dimension.
-
-``parallel``
-    Shards traced layers across a ``multiprocessing`` pool (each worker
-    runs the vectorized kernel) and merges results deterministically; see
-    :mod:`repro.engine.parallel`.
-
-New execution strategies (distributed, GPU, ...) plug in by subclassing
-:class:`SimulationBackend` and calling :func:`register_backend`; nothing
-above this layer needs to change.
+    The fast path: packs staging windows into ``uint64`` words and runs
+    the :class:`repro.core.scheduler.BatchScheduler` kernel over whole
+    batches — every work group of every operation of every layer being
+    simulated is scheduled together, amortising the Python interpreter
+    over the batch dimension.  Staging windows wider than 64 bits run on
+    the oracle.
 
 Memory awareness: backends produce *compute* cycles.  The per-window
 staging-refill clamp a finite :class:`~repro.memory.hierarchy.MemoryHierarchy`
@@ -39,12 +33,11 @@ choice therefore can never affect memory-aware results either.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Sequence, Union
 
 import numpy as np
 
 from repro.core.accelerator import Accelerator, OperationResult
-from repro.core.scheduler import HardwareScheduler
 
 
 def traced_layers(traces: Sequence) -> List:
@@ -62,10 +55,10 @@ class SimulationBackend:
 
     Subclasses must implement :meth:`run_operation`; layer-level
     orchestration (:meth:`simulate_layers`) defaults to a serial loop and
-    is overridden by backends that shard whole layers (``parallel``).
+    is overridden by backends that fuse whole layers (``vectorized``).
     """
 
-    #: Registry name; subclasses override.
+    #: Backend name (the ``--backend`` value); subclasses override.
     name: str = "abstract"
 
     def run_operation(
@@ -104,76 +97,16 @@ class ReferenceBackend(SimulationBackend):
     def run_operation(
         self, accelerator: Accelerator, op_name: str, groups: np.ndarray
     ) -> OperationResult:
-        groups = np.asarray(groups, dtype=bool)
-        if groups.ndim != 4:
-            raise ValueError(
-                f"groups must be 4D (groups, tile_rows, stream_rows, lanes), got {groups.shape}"
-            )
-        num_groups, tile_rows, stream_rows, lanes = groups.shape
-        baseline_cycles = num_groups * stream_rows
-        macs_total = num_groups * tile_rows * stream_rows * lanes
-        macs_effectual = int(groups.sum())
-        scheduler = HardwareScheduler(accelerator.pattern)
-        depth = accelerator.config.pe.staging_depth
-        tensordash_cycles = 0
-        for group in groups:
-            tensordash_cycles += self._group_cycles(
-                accelerator, scheduler, group, depth, lanes
-            )
-        return OperationResult(
-            name=op_name,
-            baseline_cycles=baseline_cycles,
-            tensordash_cycles=tensordash_cycles,
-            macs_total=macs_total,
-            macs_effectual=macs_effectual,
-        )
-
-    @staticmethod
-    def _group_cycles(
-        accelerator: Accelerator,
-        scheduler: HardwareScheduler,
-        group: np.ndarray,
-        depth: int,
-        lanes: int,
-    ) -> int:
-        """Cycles for one lockstep tile-row group, one scheduler step per row."""
-        tile_rows, stream_rows, _ = group.shape
-        if accelerator.config.power_gated:
-            return stream_rows
-        if stream_rows == 0:
-            return 0
-        pending = group.copy()
-        position = 0
-        cycles = 0
-        while position < stream_rows:
-            advances = []
-            for row in range(tile_rows):
-                window = np.zeros((depth, lanes), dtype=bool)
-                visible = min(depth, stream_rows - position)
-                window[:visible] = pending[row, position : position + visible]
-                # The same per-window staging-refill clamp the batched
-                # paths apply, so the oracle stays bit-identical under
-                # finite memory hierarchies too.
-                schedule = scheduler.schedule_step(
-                    window, advance_limit=accelerator.refill_limit
-                )
-                for selection in schedule.selections:
-                    if selection is None:
-                        continue
-                    step, lane = selection
-                    pending[row, position + step, lane] = False
-                advances.append(min(schedule.advance, stream_rows - position))
-            position += min(advances)
-            cycles += 1
-        return cycles
+        return accelerator.run_operation(op_name, groups, oracle=True)
 
 
 class VectorizedBackend(SimulationBackend):
     """Fast path: schedules all of an operation's groups at once via numpy.
 
-    Delegates to :meth:`repro.core.accelerator.Accelerator.run_operation_batched`,
-    which drives the :class:`repro.core.scheduler.BatchScheduler` over the
-    whole ``(groups * tile_rows)`` batch of staging windows per cycle.
+    Delegates to :meth:`repro.core.accelerator.Accelerator.run_operation`,
+    which drives the packed :class:`repro.core.scheduler.BatchScheduler`
+    kernel over the whole ``(groups * tile_rows)`` batch of staging
+    windows per cycle.
     """
 
     name = "vectorized"
@@ -181,7 +114,7 @@ class VectorizedBackend(SimulationBackend):
     def run_operation(
         self, accelerator: Accelerator, op_name: str, groups: np.ndarray
     ) -> OperationResult:
-        return accelerator.run_operation_batched(op_name, groups)
+        return accelerator.run_operation(op_name, groups)
 
     def simulate_layers(self, simulator, traces: Sequence) -> List:
         """Layer-batched execution: fuse every layer's operations into
@@ -218,49 +151,27 @@ class VectorizedBackend(SimulationBackend):
         ]
 
 
-#: Backend registry; ``parallel`` self-registers on import (see get_backend).
-_BACKENDS: Dict[str, Callable[..., SimulationBackend]] = {
+#: The execution backends, by name (the CLI ``--backend`` choices).
+_BACKENDS: Dict[str, type] = {
     ReferenceBackend.name: ReferenceBackend,
     VectorizedBackend.name: VectorizedBackend,
 }
 
 
-def register_backend(name: str, factory: Callable[..., SimulationBackend]) -> None:
-    """Register a backend factory under ``name`` (overwrites silently)."""
-    _BACKENDS[name] = factory
-
-
 def available_backends() -> List[str]:
-    """Names of every registered backend (the CLI ``--backend`` choices)."""
-    # The parallel backend registers itself on import; make sure it is
-    # visible even if nothing imported repro.engine.parallel yet.
-    import repro.engine.parallel  # noqa: F401
-
+    """Names of the execution backends (the CLI ``--backend`` choices)."""
     return sorted(_BACKENDS)
 
 
-def get_backend(
-    backend: Union[str, SimulationBackend, None],
-    jobs: Optional[int] = None,
-) -> SimulationBackend:
-    """Resolve a backend name (or pass through an instance).
-
-    ``jobs`` is forwarded to backends that accept a worker count (the
-    parallel backend); other backends ignore it.
-    """
+def get_backend(backend: Union[str, SimulationBackend, None]) -> SimulationBackend:
+    """Resolve a backend name (or pass through an instance)."""
     if backend is None:
         backend = "vectorized"
     if isinstance(backend, SimulationBackend):
         return backend
-    if backend == "parallel":
-        # Imported lazily so repro.engine.backend stays dependency-light.
-        import repro.engine.parallel  # noqa: F401
     factory = _BACKENDS.get(backend)
     if factory is None:
         raise KeyError(
             f"unknown simulation backend {backend!r}; known: {available_backends()}"
         )
-    try:
-        return factory(jobs=jobs)
-    except TypeError:
-        return factory()
+    return factory()

@@ -24,6 +24,9 @@ Values are stored as small JSON documents (one file per layer, sharded by
 key prefix to keep directories shallow), so caches are portable,
 inspectable with standard tools, and safe to share between backends that
 are bit-identical.  Corrupt or truncated files are treated as misses.
+Stores write a temporary file and rename it into place, so several
+processes may share one cache directory: a reader sees a whole entry or
+none.
 """
 
 from __future__ import annotations
@@ -32,16 +35,10 @@ import hashlib
 import json
 import os
 import tempfile
-from contextlib import contextmanager
 from pathlib import Path
 from typing import Optional, Union
 
 import numpy as np
-
-try:  # POSIX file locking for the shared tier; absent on some platforms.
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX fallback
-    fcntl = None
 
 #: Bump to invalidate every existing cache entry after a format change.
 #: Version 2 added the memory-hierarchy fields (stall cycles, effective
@@ -190,46 +187,3 @@ class ResultCache:
 
     def __len__(self) -> int:
         return sum(1 for _ in self.cache_dir.glob("*/*.json"))
-
-
-class SharedResultCache(ResultCache):
-    """A file-locked shared memo tier between the in-process memo and disk.
-
-    Many engine processes — parallel shard workers, a fleet of ``repro
-    serve`` workers, concurrent benchmark runs — can point at the same
-    ``shared_dir`` (typically on tmpfs) and read through it: whatever one
-    process simulates, its siblings load instead of re-simulating.
-
-    The layout and payload format are exactly :class:`ResultCache`'s
-    content-addressed JSON files; on top of that every read takes a
-    shared ``flock`` and every write an exclusive one on a single
-    directory-level lock file, so a load can never observe a partially
-    visible store even on filesystems where rename atomicity is weaker
-    than POSIX promises.  On platforms without :mod:`fcntl` the locks
-    degrade to no-ops and the atomic-rename discipline of the base class
-    is the only (still safe on POSIX) guarantee.
-    """
-
-    def __init__(self, shared_dir: Union[str, Path]):
-        super().__init__(shared_dir)
-        self._lock_path = self.cache_dir / ".lock"
-
-    @contextmanager
-    def _locked(self, exclusive: bool):
-        if fcntl is None:
-            yield
-            return
-        with open(self._lock_path, "a+") as handle:
-            fcntl.flock(handle, fcntl.LOCK_EX if exclusive else fcntl.LOCK_SH)
-            try:
-                yield
-            finally:
-                fcntl.flock(handle, fcntl.LOCK_UN)
-
-    def load(self, key: str):
-        with self._locked(exclusive=False):
-            return super().load(key)
-
-    def store(self, key: str, result) -> None:
-        with self._locked(exclusive=True):
-            super().store(key, result)

@@ -5,8 +5,8 @@ CLI, API session, benchmark harness) drives instead of a bare
 :class:`~repro.simulation.cycle_sim.LayerSimulator`.  It owns three things:
 
 * a :class:`~repro.engine.backend.SimulationBackend` that decides *how*
-  layers execute (readable reference loop, numpy-vectorized fast path, or
-  a sharded multiprocessing pool);
+  layers execute (the readable reference oracle or the bit-packed
+  vectorized fast path);
 * an optional result-cache stack that skips layers whose (config, trace,
   backend) triple has been simulated before — a content-addressed
   :class:`~repro.engine.cache.ResultCache` on disk, an in-process memo
@@ -18,12 +18,11 @@ One engine serves any number of accelerator configurations: every
 ``simulate_layers`` call may carry its own ``config`` (and sampling
 parameters), and the engine keeps one :class:`LayerSimulator` per
 configuration fingerprint.  This is what lets a long-lived session run
-simulate/sweep/explore/roofline workloads through a single backend pool,
+simulate/sweep/explore/roofline workloads through a single backend,
 one cache namespace and one set of counters.
 
 The engine guarantees order preservation: results come back in trace
-order whether they were cache hits, simulated in-process or simulated on
-a worker pool.
+order whether they were cache hits or freshly simulated.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ from repro.core.config import AcceleratorConfig
 from repro.engine.backend import SimulationBackend, get_backend, traced_layers
 from repro.engine.cache import (
     ResultCache,
-    SharedResultCache,
     config_fingerprint,
     layer_key,
     trace_fingerprint,
@@ -51,21 +49,16 @@ class EngineStats:
     """Counters describing one engine's activity (reset per engine).
 
     ``cache_hits`` is the aggregate across the whole cache stack;
-    ``memo_hits`` / ``shared_hits`` / ``disk_hits`` attribute every hit
-    to the tier that served it (in-process memo, cross-process shared
-    tier, on-disk cache), so a fleet of workers can see whether the
-    shared tier is actually saving simulations.
+    ``memo_hits`` / ``disk_hits`` attribute every hit to the tier that
+    served it (in-process memo, on-disk cache).
     """
 
     backend: str
-    jobs: int = 1
     cache_dir: Optional[str] = None
-    shared_dir: Optional[str] = None
     layers_simulated: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
     memo_hits: int = 0
-    shared_hits: int = 0
     disk_hits: int = 0
 
     @property
@@ -83,14 +76,11 @@ class EngineStats:
         """JSON-friendly snapshot for reports and benchmark emitters."""
         return {
             "backend": self.backend,
-            "jobs": self.jobs,
             "cache_dir": self.cache_dir,
-            "shared_dir": self.shared_dir,
             "layers_simulated": self.layers_simulated,
             "cache_hits": self.cache_hits,
             "cache_misses": self.cache_misses,
             "memo_hits": self.memo_hits,
-            "shared_hits": self.shared_hits,
             "disk_hits": self.disk_hits,
             "hit_rate": self.hit_rate,
         }
@@ -100,21 +90,18 @@ class EngineStats:
         """Rebuild counters from an :meth:`as_dict` document.
 
         Derived fields (``hit_rate``) and unknown keys are ignored, so
-        documents from newer writers still load.
+        documents from newer writers — and the keys older writers emitted
+        for the retired worker-pool and shared-tier features — still
+        load.
         """
-        jobs = payload.get("jobs")
         cache_dir = payload.get("cache_dir")
-        shared_dir = payload.get("shared_dir")
         return cls(
             backend=str(payload.get("backend", "vectorized")),
-            jobs=int(jobs) if jobs else 1,
             cache_dir=str(cache_dir) if cache_dir else None,
-            shared_dir=str(shared_dir) if shared_dir else None,
             layers_simulated=int(payload.get("layers_simulated", 0)),
             cache_hits=int(payload.get("cache_hits", 0)),
             cache_misses=int(payload.get("cache_misses", 0)),
             memo_hits=int(payload.get("memo_hits", 0)),
-            shared_hits=int(payload.get("shared_hits", 0)),
             disk_hits=int(payload.get("disk_hits", 0)),
         )
 
@@ -125,8 +112,7 @@ class EngineStats:
     def absorb(self, other: "EngineStats") -> None:
         """Add another record's counters into this one, exactly.
 
-        Metadata (backend, jobs, cache_dir, shared_dir) is kept from
-        ``self``; every counter — including the per-tier hit attribution
+        Metadata (backend, cache_dir) is kept from ``self``; every counter — including the per-tier hit attribution
         — is summed, so aggregating N worker deltas reproduces the
         totals a single engine doing all the work would have recorded.
         """
@@ -134,26 +120,22 @@ class EngineStats:
         self.cache_hits += other.cache_hits
         self.cache_misses += other.cache_misses
         self.memo_hits += other.memo_hits
-        self.shared_hits += other.shared_hits
         self.disk_hits += other.disk_hits
 
     def since(self, earlier: "EngineStats") -> "EngineStats":
         """The activity between an earlier :meth:`snapshot` and now.
 
-        Metadata (backend, jobs, cache_dir) comes from ``self``; the
+        Metadata (backend, cache_dir) comes from ``self``; the
         counters are differences.  This is how a shared long-lived engine
         reports per-request work.
         """
         return EngineStats(
             backend=self.backend,
-            jobs=self.jobs,
             cache_dir=self.cache_dir,
-            shared_dir=self.shared_dir,
             layers_simulated=self.layers_simulated - earlier.layers_simulated,
             cache_hits=self.cache_hits - earlier.cache_hits,
             cache_misses=self.cache_misses - earlier.cache_misses,
             memo_hits=self.memo_hits - earlier.memo_hits,
-            shared_hits=self.shared_hits - earlier.shared_hits,
             disk_hits=self.disk_hits - earlier.disk_hits,
         )
 
@@ -167,10 +149,8 @@ class SimulationEngine:
         Default accelerator configuration (Table 2 defaults when
         omitted).  Individual ``simulate_layers`` calls may override it.
     backend:
-        Backend name (``"reference"``, ``"vectorized"``, ``"parallel"``)
-        or a :class:`SimulationBackend` instance.
-    jobs:
-        Worker count for backends that shard (the parallel backend).
+        Backend name (``"reference"`` or ``"vectorized"``) or a
+        :class:`SimulationBackend` instance.
     cache_dir:
         Directory for the on-disk result cache; ``None`` disables the
         disk layer.  Entries are keyed by (config hash, trace hash,
@@ -179,13 +159,6 @@ class SimulationEngine:
         the sampling parameters, the traced operands or the backend
         invalidates them structurally; results simulated under different
         hierarchies can never collide.
-    shared_dir:
-        Directory for the cross-process shared memo tier
-        (:class:`~repro.engine.cache.SharedResultCache`) — point several
-        engine processes (serve workers, concurrent runs) at the same
-        directory, typically on tmpfs, and each re-simulates only what
-        no sibling finished first.  Sits between the in-process memo and
-        the disk cache in the lookup order; ``None`` disables it.
     max_groups / max_batch:
         Default stream-sampling parameters, forwarded to the layer
         simulator (and folded into the cache key).  Overridable per call.
@@ -201,26 +174,21 @@ class SimulationEngine:
         self,
         config: Optional[AcceleratorConfig] = None,
         backend: Union[str, SimulationBackend, None] = "vectorized",
-        jobs: Optional[int] = None,
         cache_dir: Optional[str] = None,
         max_groups: Optional[int] = 256,
         max_batch: Optional[int] = 4,
         memory_cache: bool = False,
-        shared_dir: Optional[str] = None,
     ):
         self.config = config or AcceleratorConfig()
-        self.backend = get_backend(backend, jobs=jobs)
+        self.backend = get_backend(backend)
         self.max_groups = max_groups
         self.max_batch = max_batch
         self.cache = ResultCache(cache_dir) if cache_dir else None
-        self.shared = SharedResultCache(shared_dir) if shared_dir else None
         self._memo: Optional[Dict[str, LayerResult]] = {} if memory_cache else None
         self._simulators: Dict[str, LayerSimulator] = {}
         self.stats = EngineStats(
             backend=self.backend.name,
-            jobs=getattr(self.backend, "jobs", 1),
             cache_dir=str(cache_dir) if cache_dir else None,
-            shared_dir=str(shared_dir) if shared_dir else None,
         )
         # The default-config simulator, eagerly built for back-compat
         # (callers that read ``engine.simulator`` directly).
@@ -281,27 +249,18 @@ class SimulationEngine:
             self.stats.cache_dir = previous_label
 
     def _lookup(self, key: str) -> Optional[LayerResult]:
-        """Read through the cache stack: memo -> shared tier -> disk.
+        """Read through the cache stack: memo -> disk.
 
-        Hits are promoted into every faster tier above the one that
-        served them (disk hits also seed the shared tier), so repeated
-        lookups in one process stop re-reading files and sibling
-        processes inherit whatever any of them loaded.  Per-tier hit
-        counters land in :attr:`stats`; the aggregate ``cache_hits`` is
-        maintained by the caller.
+        Disk hits are promoted into the memo, so repeated lookups in one
+        process stop re-reading files.  Per-tier hit counters land in
+        :attr:`stats`; the aggregate ``cache_hits`` is maintained by the
+        caller.
         """
         if self._memo is not None:
             hit = self._memo.get(key)
             if hit is not None:
                 self.stats.memo_hits += 1
                 return hit
-        if self.shared is not None:
-            loaded = self.shared.load(key)
-            if loaded is not None:
-                self.stats.shared_hits += 1
-                if self._memo is not None:
-                    self._memo[key] = loaded
-                return loaded
         if self.cache is not None:
             loaded = self.cache.load(key)
             if loaded is not None:
@@ -310,16 +269,12 @@ class SimulationEngine:
                     # Promote disk hits so repeated requests in one session
                     # stop re-reading and re-parsing the cache files.
                     self._memo[key] = loaded
-                if self.shared is not None:
-                    self.shared.store(key, loaded)
             return loaded
         return None
 
     def _store(self, key: str, result: LayerResult) -> None:
         if self._memo is not None:
             self._memo[key] = result
-        if self.shared is not None:
-            self.shared.store(key, result)
         if self.cache is not None:
             self.cache.store(key, result)
 
@@ -349,14 +304,14 @@ class SimulationEngine:
         counters).
 
         Cache hits are loaded; misses are batched into one
-        ``backend.simulate_layers`` call (so the parallel backend shards
+        ``backend.simulate_layers`` call (so the vectorized backend fuses
         only the layers that actually need simulating), stored, and merged
         back in trace order.
         """
         work = traced_layers(traces)
         simulator, config_fp = self._resolve(config, max_groups, max_batch)
         tracer = get_tracer()
-        if self.cache is None and self._memo is None and self.shared is None:
+        if self.cache is None and self._memo is None:
             with tracer.span(
                 "engine.simulate_layers",
                 backend=self.backend.name, layers=len(work),
@@ -375,9 +330,7 @@ class SimulationEngine:
             layer_key(config_fp, trace_fingerprint(trace), self.backend.name)
             for trace in work
         ]
-        tiers_before = (
-            self.stats.memo_hits, self.stats.shared_hits, self.stats.disk_hits
-        )
+        tiers_before = (self.stats.memo_hits, self.stats.disk_hits)
         with tracer.span("engine.cache_lookup", layers=len(work)) as span:
             for index, key in enumerate(keys):
                 cached = self._lookup(key)
@@ -392,8 +345,8 @@ class SimulationEngine:
         # stats counters record — one increment per tier per batch, so
         # the hot per-layer lookup loop stays untouched.
         for tier, before, now in zip(
-            ("memo", "shared", "disk"), tiers_before,
-            (self.stats.memo_hits, self.stats.shared_hits, self.stats.disk_hits),
+            ("memo", "disk"), tiers_before,
+            (self.stats.memo_hits, self.stats.disk_hits),
         ):
             if now > before:
                 _metrics.CACHE_HITS.inc(now - before, tier=tier)

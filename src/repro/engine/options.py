@@ -1,12 +1,11 @@
 """Engine option resolution: one precedence rule for every entry point.
 
-Three knobs steer the simulation engine everywhere — CLI flags, the
+Four knobs steer the simulation engine everywhere — CLI flags, the
 programmatic :class:`repro.api.Session`, the benchmark harness:
 
-* **backend** — ``reference`` / ``vectorized`` / ``parallel``;
-* **jobs** — worker-pool size for the parallel backend;
-* **cache_dir** — on-disk result-cache directory;
-* **shared_dir** — cross-process shared memo-tier directory;
+* **backend** — ``reference`` / ``vectorized``;
+* **cache_dir** — on-disk result-cache directory (several processes may
+  share one);
 * **telemetry_dir** — span/metrics event-log directory
   (:mod:`repro.telemetry`);
 * **study_jobs** — worker processes a design-space study fans its
@@ -14,10 +13,9 @@ programmatic :class:`repro.api.Session`, the benchmark harness:
 
 :func:`resolve_engine_options` is the single place their precedence is
 decided: an explicit argument wins, then the ``REPRO_BACKEND`` /
-``REPRO_JOBS`` / ``REPRO_CACHE_DIR`` / ``REPRO_SHARED_CACHE_DIR`` /
-``REPRO_TELEMETRY_DIR`` / ``REPRO_STUDY_JOBS`` environment variables,
-then the defaults (``vectorized``, auto-sized pool, no caches, telemetry
-disabled, serial studies).  Every caller goes through this helper, so
+``REPRO_CACHE_DIR`` / ``REPRO_TELEMETRY_DIR`` / ``REPRO_STUDY_JOBS``
+environment variables, then the defaults (``vectorized``, no disk cache,
+telemetry disabled, serial studies).  Every caller goes through this helper, so
 setting ``REPRO_BACKEND=reference`` steers the CLI, a long-lived API
 session and a benchmark run identically.
 """
@@ -37,9 +35,7 @@ class EngineOptions:
     """Fully resolved engine configuration (what the engine is built from)."""
 
     backend: str = DEFAULT_BACKEND
-    jobs: Optional[int] = None
     cache_dir: Optional[str] = None
-    shared_dir: Optional[str] = None
     telemetry_dir: Optional[str] = None
     #: Worker processes for study execution; ``None`` means serial (1).
     study_jobs: Optional[int] = None
@@ -48,9 +44,7 @@ class EngineOptions:
         """JSON-friendly view for health/stats payloads."""
         return {
             "backend": self.backend,
-            "jobs": self.jobs,
             "cache_dir": self.cache_dir,
-            "shared_dir": self.shared_dir,
             "telemetry_dir": self.telemetry_dir,
             "study_jobs": self.study_jobs,
         }
@@ -58,9 +52,7 @@ class EngineOptions:
 
 def resolve_engine_options(
     backend: Optional[str] = None,
-    jobs: Optional[int] = None,
     cache_dir: Optional[Union[str, os.PathLike]] = None,
-    shared_dir: Optional[Union[str, os.PathLike]] = None,
     telemetry_dir: Optional[Union[str, os.PathLike]] = None,
     study_jobs: Optional[int] = None,
     environ: Optional[Mapping[str, str]] = None,
@@ -82,18 +74,6 @@ def resolve_engine_options(
             f"unknown backend {backend!r}; available: {available_backends()}"
         )
 
-    if jobs is None:
-        raw = env.get("REPRO_JOBS")
-        if raw:
-            try:
-                jobs = int(raw)
-            except ValueError:
-                raise ValueError(
-                    f"REPRO_JOBS must be an integer, got {raw!r}"
-                ) from None
-    if jobs is not None and jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-
     if study_jobs is None:
         raw = env.get("REPRO_STUDY_JOBS")
         if raw:
@@ -108,15 +88,11 @@ def resolve_engine_options(
 
     if cache_dir is None:
         cache_dir = env.get("REPRO_CACHE_DIR") or None
-    if shared_dir is None:
-        shared_dir = env.get("REPRO_SHARED_CACHE_DIR") or None
     if telemetry_dir is None:
         telemetry_dir = env.get("REPRO_TELEMETRY_DIR") or None
     return EngineOptions(
         backend=backend,
-        jobs=jobs,
         cache_dir=str(cache_dir) if cache_dir else None,
-        shared_dir=str(shared_dir) if shared_dir else None,
         telemetry_dir=str(telemetry_dir) if telemetry_dir else None,
         study_jobs=study_jobs,
     )

@@ -13,8 +13,8 @@ one-knob-at-a-time sweeps into declarative *studies*:
 
 :class:`~repro.explore.runner.StudyRunner`
     Executes a spec through the pluggable
-    :class:`~repro.engine.SimulationEngine` (same backend / jobs / cache
-    flags as every other entry point), records speedup, energy
+    :class:`~repro.engine.SimulationEngine` (same backend / cache flags
+    as every other entry point), records speedup, energy
     efficiency and area overhead per point, and checkpoints a resumable
     manifest so an interrupted study continues where it left off with
     zero re-simulation.

@@ -3,24 +3,15 @@
 :class:`StudyExecutor` partitions a study's remaining point groups into
 chunks and runs each chunk on a pool of worker processes.  Every worker
 owns one :class:`~repro.engine.SimulationEngine` pointed at the study's
-disk cache and (when configured) the cross-process shared memo tier, so
-duplicate (config, trace) work collapses across workers exactly as it
-does across serve processes.
+disk cache, so a layer one worker stored is a disk hit for the others.
 
 The payload a worker needs — the spec, the parent's pre-computed
 scenario traces, and the chunked point lists — ships through fork's
-copy-on-write page sharing where the platform allows (the same pattern
-as :class:`~repro.engine.parallel.ParallelBackend`); on spawn-only
+copy-on-write page sharing where the platform allows; on spawn-only
 platforms it is pickled to each worker once at pool start-up.  Workers
 never train: the parent memoizes every scenario trace before the pool
 starts, so a worker that reaches :meth:`StudyRunner._scenario_trace`
 always hits the prefilled memo.
-
-Workers run on :class:`concurrent.futures.ProcessPoolExecutor` rather
-than ``multiprocessing.Pool`` deliberately: its workers are not
-daemonic, so a worker's engine may itself use the ``parallel`` backend
-(nested shard pools) — ``study_jobs × jobs`` is the real process count,
-which :doc:`docs/performance.md` tells you how to budget.
 
 Results merge back in the parent as each chunk completes (unordered —
 the runner re-sorts into point order at the end), together with the
@@ -63,16 +54,13 @@ def _init_study_worker(payload=None) -> None:
     spec = _STUDY_PAYLOAD["spec"]
     engine = SimulationEngine(
         backend=_STUDY_PAYLOAD["backend"],
-        jobs=_STUDY_PAYLOAD["jobs"],
         cache_dir=_STUDY_PAYLOAD["cache_dir"],
-        shared_dir=_STUDY_PAYLOAD["shared_dir"],
         max_groups=spec.max_groups,
         memory_cache=True,
     )
     runner = StudyRunner(
         spec,
         backend=_STUDY_PAYLOAD["backend"],
-        jobs=_STUDY_PAYLOAD["jobs"],
         cache_dir=_STUDY_PAYLOAD["cache_dir"],
         engine=engine,
     )
@@ -105,8 +93,7 @@ def plan_units(
     Each chunk stays within one accelerator configuration (a chunk is
     still one batched engine pass), but a study with fewer configs than
     workers is split finer — targeting ~4 chunks per worker so the
-    unordered merge load-balances, mirroring
-    :func:`repro.engine.parallel.default_shard_groups`.
+    unordered merge load-balances.
     """
     total = sum(len(group) for group in groups)
     if total == 0:
@@ -125,8 +112,8 @@ class StudyExecutor:
     Parameters
     ----------
     runner:
-        The parent study runner.  Its spec, engine options, shared-tier
-        directory and memoized scenario traces form the worker payload;
+        The parent study runner.  Its spec, engine options and memoized
+        scenario traces form the worker payload;
         the runner itself never leaves the parent process.
     jobs:
         Worker process count (``>= 1``).  ``jobs=1`` is rejected by the
@@ -164,9 +151,7 @@ class StudyExecutor:
         payload = {
             "spec": runner.spec,
             "backend": runner.backend,
-            "jobs": runner.jobs,
             "cache_dir": runner.cache_dir,
-            "shared_dir": runner.shared_dir,
             "traces": dict(runner._scenario_traces),
             "units": units,
         }

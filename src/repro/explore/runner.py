@@ -7,7 +7,7 @@ and dispatches every design point through the same
 uses — including the content-addressed result cache, so warm points cost
 zero re-simulation.  Points sharing an accelerator configuration are
 batched into one engine pass (:meth:`ExperimentRunner.run_batch`), which
-lets the parallel backend shard across workloads.
+lets the vectorized backend fuse layers across workloads.
 
 Studies are resumable: with a ``study_dir`` the runner appends one
 fsync'd JSONL record per completed point to a manifest *segment*
@@ -22,8 +22,7 @@ written before the segment existed still load unchanged.
 
 With ``study_jobs > 1`` the remaining point groups fan out across a
 pool of worker processes (:class:`~repro.explore.executor.StudyExecutor`),
-each owning an engine on the same disk cache and optional shared memo
-tier; results merge deterministically in point order and per-worker
+each owning an engine on the same disk cache; results merge deterministically in point order and per-worker
 engine stats aggregate exactly.  ``study_jobs=1`` (the default) is
 byte-for-byte today's serial path.
 """
@@ -139,24 +138,18 @@ class StudyRunner:
         Directory for the study manifest and (by default) the engine's
         result cache.  ``None`` runs fully in memory with no
         checkpointing — fine for small sweeps, required for ``resume``.
-    backend / jobs / cache_dir:
+    backend / cache_dir:
         Engine flags, identical to every other entry point.  With a
         ``study_dir`` and no explicit ``cache_dir`` the cache lands in
         ``<study_dir>/cache`` so resumed studies get layer-level hits.
     engine:
         An existing :class:`~repro.engine.SimulationEngine` to run every
-        point through (backend/jobs/cache args then only label reports).
+        point through (backend/cache args then only label reports).
         This is how :class:`repro.api.Session` makes studies share its
         warm cache.
     study_jobs:
         Worker processes to fan point groups across; ``None`` or ``1``
-        runs serially in this process.  Workers are extra processes on
-        top of the engine's own ``jobs`` pool — see
-        ``docs/performance.md`` for budgeting the product.
-    shared_dir:
-        Cross-process shared memo tier directory handed to every worker
-        engine (the parent's injected engine is not reconfigured).  With
-        ``study_jobs <= 1`` this is unused.
+        runs serially in this process.
     trace_fn:
         Optional ``workload name -> TrainingTrace`` provider overriding
         the built-in train-and-trace step — e.g. a session-level trace
@@ -168,11 +161,9 @@ class StudyRunner:
         spec: StudySpec,
         study_dir: Optional[Union[str, Path]] = None,
         backend: str = "vectorized",
-        jobs: Optional[int] = None,
         cache_dir: Optional[Union[str, Path]] = None,
         engine=None,
         study_jobs: Optional[int] = None,
-        shared_dir: Optional[Union[str, Path]] = None,
         trace_fn: Optional[Callable[[str], object]] = None,
     ):
         if study_jobs is not None and study_jobs < 1:
@@ -180,10 +171,8 @@ class StudyRunner:
         self.spec = spec
         self.study_dir = Path(study_dir) if study_dir else None
         self.backend = backend
-        self.jobs = jobs
         self.engine = engine
         self.study_jobs = study_jobs or 1
-        self.shared_dir = str(shared_dir) if shared_dir else None
         self._trace_fn = trace_fn
         if self.study_dir is not None:
             try:
@@ -402,7 +391,6 @@ class StudyRunner:
                 max_groups=self.spec.max_groups,
                 max_batch=self._max_batch(),
                 backend=self.backend,
-                jobs=self.jobs,
                 cache_dir=self.cache_dir,
                 engine=self.engine,
             )
@@ -672,9 +660,7 @@ class StudyRunner:
         parallel totals match what one engine doing all the work would
         have counted.
         """
-        totals = EngineStats(
-            backend=self.backend, jobs=self.jobs or 1, cache_dir=self.cache_dir
-        )
+        totals = EngineStats(backend=self.backend, cache_dir=self.cache_dir)
         seen = set()
         for runner in self._runners.values():
             if id(runner.engine) in seen:
@@ -694,10 +680,8 @@ def run_study(
     study_dir: Optional[Union[str, Path]] = None,
     resume: bool = False,
     backend: str = "vectorized",
-    jobs: Optional[int] = None,
     cache_dir: Optional[Union[str, Path]] = None,
     study_jobs: Optional[int] = None,
-    shared_dir: Optional[Union[str, Path]] = None,
     progress: Optional[Callable[[str], None]] = None,
 ) -> StudyResult:
     """One-call convenience wrapping :class:`StudyRunner`."""
@@ -705,9 +689,7 @@ def run_study(
         spec,
         study_dir=study_dir,
         backend=backend,
-        jobs=jobs,
         cache_dir=cache_dir,
         study_jobs=study_jobs,
-        shared_dir=shared_dir,
     )
     return runner.run(resume=resume, progress=progress)

@@ -83,12 +83,6 @@ WATCHED_METRICS: Dict[str, Tuple[WatchedMetric, ...]] = {
         WatchedMetric(
             "cache.warm_layers_resimulated", False, tolerance=0.0, gate=True
         ),
-        WatchedMetric(
-            "shared_tier.second_process_layers_simulated",
-            False,
-            tolerance=0.0,
-            gate=True,
-        ),
         WatchedMetric("backends.vectorized.seconds", False),
     ),
     "jobs_service_overhead": (
@@ -154,11 +148,8 @@ BENCH_SCHEMAS: Dict[str, Tuple[str, ...]] = {
     "engine_backends": (
         "backends.reference.seconds",
         "backends.vectorized.speedup_vs_reference",
-        "parallel.ratio_vs_vectorized",
         "perf_gate.min_vectorized_speedup",
-        "perf_gate.min_parallel_ratio",
         "cache.warm_cache_hits",
-        "shared_tier.second_process_shared_hits",
         "bit_identical",
     ),
     "jobs_service_overhead": (

@@ -75,7 +75,7 @@ class ScaleRunner:
         omitted, the runner builds its own engine with the in-process
         memo enabled, so the per-shard passes never re-simulate layers
         the reference pass already covered.
-    backend / jobs / cache_dir:
+    backend / cache_dir:
         Engine knobs for the self-built engine; ignored when ``engine``
         is given.
     max_groups / max_batch:
@@ -89,7 +89,6 @@ class ScaleRunner:
         config: Optional[AcceleratorConfig] = None,
         engine: Optional[SimulationEngine] = None,
         backend: Union[str, SimulationBackend, None] = "vectorized",
-        jobs: Optional[int] = None,
         cache_dir: Optional[str] = None,
         max_groups: Optional[int] = 64,
         max_batch: Optional[int] = 4,
@@ -99,7 +98,6 @@ class ScaleRunner:
             engine = SimulationEngine(
                 self.config,
                 backend=backend,
-                jobs=jobs,
                 cache_dir=cache_dir,
                 max_groups=max_groups,
                 max_batch=max_batch,

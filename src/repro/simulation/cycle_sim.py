@@ -8,12 +8,12 @@ counts and memory traffic for each of the paper's three operations.
 Execution is delegated to a pluggable :mod:`repro.engine` backend:
 
 * ``"reference"`` — the readable per-PE-row Python loop (the bit-exact
-  oracle every other backend is property-tested against);
+  oracle the fast path is property-tested against);
 * ``"vectorized"`` (default) — schedules whole staging-window batches at
-  once through the numpy :class:`~repro.core.scheduler.BatchScheduler`;
-* ``"parallel"`` — shards traced layers across a multiprocessing pool.
+  once through the bit-packed :class:`~repro.core.scheduler.BatchScheduler`
+  kernel (staging windows wider than 64 bits run on the oracle).
 
-All backends produce bit-identical cycle counts, MAC counts and traffic,
+Both backends produce bit-identical cycle counts, MAC counts and traffic,
 so backend choice is purely a wall-clock decision.  For cross-run reuse,
 wrap the simulator in a :class:`repro.engine.SimulationEngine` with a
 ``cache_dir`` — results are then cached on disk keyed by (config hash,
@@ -146,9 +146,8 @@ class LayerSimulator:
     def streams_for_trace(self, trace: LayerTrace) -> Dict[str, OperandStreams]:
         """Operand streams per traced operation (empty if nothing traced).
 
-        Public so batching/sharding backends can extract every layer's
-        streams up front, fuse them into large scheduling batches or
-        group-range shards, and then hand the raw per-operation results
+        Public so the batching backend can extract every layer's streams
+        up front, fuse them into large scheduling batches, and then hand the raw per-operation results
         back to :meth:`finalize_layer`.
         """
         if trace.activation_mask is None:
@@ -271,7 +270,7 @@ class LayerSimulator:
     def simulate_layers(self, traces: List[LayerTrace]) -> List[LayerResult]:
         """Simulate every traced layer; layers without masks are skipped.
 
-        Delegates to the backend so layer-sharding backends (``parallel``)
-        can distribute the work; results always come back in trace order.
+        Delegates to the backend so the batching backend (``vectorized``)
+        can fuse the work; results always come back in trace order.
         """
         return self.backend.simulate_layers(self, traces)

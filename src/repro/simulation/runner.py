@@ -7,9 +7,8 @@ speedups, memory traffic and energy per model and per operation — the
 quantities Figs. 13-20 and Table 3 report.
 
 Layer execution goes through a :class:`repro.engine.SimulationEngine`, so
-every runner accepts a ``backend`` (``"reference"``, ``"vectorized"``,
-``"parallel"``), a ``jobs`` worker count for the parallel backend, and a
-``cache_dir`` enabling the content-addressed on-disk result cache.  With a
+every runner accepts a ``backend`` (``"reference"`` or ``"vectorized"``)
+and a ``cache_dir`` enabling the content-addressed on-disk result cache.  With a
 cache directory set, re-running a sweep re-simulates only layers whose
 (config, trace, backend) key has never been seen; everything else is
 loaded from disk, and ``runner.engine.stats`` records the hit/miss split
@@ -18,8 +17,8 @@ execution strategy chosen.
 
 Runners can alternatively be handed an existing
 :class:`~repro.engine.SimulationEngine` via the ``engine`` argument, in
-which case the backend/jobs/cache arguments are ignored and the runner
-shares that engine's pool, cache stack and counters.  This is how
+which case the backend/cache arguments are ignored and the runner
+shares that engine's backend, cache stack and counters.  This is how
 :class:`repro.api.Session` gives every workflow one warm cache.
 """
 
@@ -173,7 +172,6 @@ class ExperimentRunner:
         max_groups: Optional[int] = 256,
         max_batch: Optional[int] = 4,
         backend="vectorized",
-        jobs: Optional[int] = None,
         cache_dir: Optional[str] = None,
         engine=None,
     ):
@@ -189,7 +187,6 @@ class ExperimentRunner:
             engine = SimulationEngine(
                 self.config,
                 backend=backend,
-                jobs=jobs,
                 cache_dir=cache_dir,
                 max_groups=max_groups,
                 max_batch=max_batch,
@@ -229,7 +226,7 @@ class ExperimentRunner:
 
         ``traced`` is a sequence of ``(model_name, EpochTrace)`` pairs.
         Every epoch's traced layers are flattened into a single
-        ``engine.simulate_layers`` call — so the parallel backend shards
+        ``engine.simulate_layers`` call — so the vectorized backend fuses
         across workloads and the result cache is consulted exactly once
         per layer — and the results are split back per workload in input
         order.  This is the batch entry point the design-space
@@ -326,7 +323,6 @@ def simulate_model_training(
     max_groups: Optional[int] = 128,
     pruning_hook=None,
     backend="vectorized",
-    jobs: Optional[int] = None,
     cache_dir: Optional[str] = None,
 ) -> ModelResult:
     """End-to-end convenience: train briefly, trace, and simulate.
@@ -358,6 +354,6 @@ def simulate_model_training(
     trace = trainer.train(dataset, model_name=model_name)
     runner = ExperimentRunner(
         config=config, max_groups=max_groups,
-        backend=backend, jobs=jobs, cache_dir=cache_dir,
+        backend=backend, cache_dir=cache_dir,
     )
     return runner.run_final_epoch(trace)

@@ -348,7 +348,7 @@ LAYERS_SIMULATED = _DEFAULT_REGISTRY.counter(
 #: Cache hits attributed to the tier that served them.
 CACHE_HITS = _DEFAULT_REGISTRY.counter(
     "repro_cache_hits_total",
-    "Layer-result cache hits, by serving tier (memo, shared, disk).",
+    "Layer-result cache hits, by serving tier (memo, disk).",
     labels=("tier",),
 )
 #: Lookups that missed every configured tier.
@@ -403,7 +403,7 @@ JOB_SECONDS = _DEFAULT_REGISTRY.histogram(
 
 # Pre-create the per-tier series so a scrape shows the whole cache
 # hierarchy from the first request, hits or not.
-for _tier in ("memo", "shared", "disk"):
+for _tier in ("memo", "disk"):
     CACHE_HITS.inc(0, tier=_tier)
 CACHE_MISSES.inc(0)
 # Likewise every job state, so dashboards see the full lifecycle from

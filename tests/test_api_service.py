@@ -125,7 +125,7 @@ class TestServe:
             for line in lines
         )
         # The cache hierarchy is pre-seeded: every tier has a series.
-        for tier in ("memo", "shared", "disk"):
+        for tier in ("memo", "disk"):
             assert f'repro_cache_hits_total{{tier="{tier}"}}' in text
 
     def test_metrics_json_variant(self, server_url):

@@ -14,36 +14,28 @@ class TestEngineOptionResolution:
     def test_defaults(self):
         options = resolve_engine_options(environ={})
         assert options.backend == "vectorized"
-        assert options.jobs is None
         assert options.cache_dir is None
 
     def test_env_vars_fill_unset_arguments(self):
         options = resolve_engine_options(environ={
             "REPRO_BACKEND": "reference",
-            "REPRO_JOBS": "3",
             "REPRO_CACHE_DIR": "/tmp/somewhere",
         })
         assert options.backend == "reference"
-        assert options.jobs == 3
         assert options.cache_dir == "/tmp/somewhere"
 
     def test_explicit_arguments_beat_env_vars(self):
         options = resolve_engine_options(
-            backend="vectorized", jobs=1, cache_dir="/tmp/explicit",
-            environ={"REPRO_BACKEND": "reference", "REPRO_JOBS": "7",
+            backend="vectorized", cache_dir="/tmp/explicit",
+            environ={"REPRO_BACKEND": "reference",
                      "REPRO_CACHE_DIR": "/tmp/env"},
         )
         assert options.backend == "vectorized"
-        assert options.jobs == 1
         assert options.cache_dir == "/tmp/explicit"
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="unknown backend"):
             resolve_engine_options(environ={"REPRO_BACKEND": "quantum"})
-
-    def test_non_integer_jobs_rejected(self):
-        with pytest.raises(ValueError, match="REPRO_JOBS"):
-            resolve_engine_options(environ={"REPRO_JOBS": "many"})
 
     def test_session_resolves_through_the_same_helper(self):
         session = Session(environ={"REPRO_BACKEND": "reference"})

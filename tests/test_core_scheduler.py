@@ -4,11 +4,46 @@ import numpy as np
 import pytest
 
 from repro.core.interconnect import ConnectivityPattern
-from repro.core.scheduler import BatchScheduler, HardwareScheduler
+from repro.core.scheduler import BatchScheduler, HardwareScheduler, pack_stream_rows
 
 
 def window(depth=3, lanes=16, fill=False):
     return np.full((depth, lanes), fill, dtype=bool)
+
+
+def pack_windows(windows):
+    """Pack boolean (batch, depth, lanes) windows into one uint64 word each."""
+    _, depth, lanes = windows.shape
+    rows = pack_stream_rows(windows)
+    word = rows[:, 0].copy()
+    for step in range(1, depth):
+        word |= rows[:, step] << np.uint64(step * lanes)
+    return word
+
+
+def oracle_claims(schedule, depth, lanes):
+    """The staging positions one oracle step consumed, as a boolean window."""
+    claimed = np.zeros((depth, lanes), dtype=bool)
+    for selection in schedule.selections:
+        if selection is not None:
+            claimed[selection] = True
+    return claimed
+
+
+def assert_packed_matches_oracle(windows, advance_limit=None):
+    """schedule_packed on packed windows == schedule_step per window."""
+    _, depth, lanes = windows.shape
+    pattern = ConnectivityPattern(lanes=lanes, staging_depth=depth)
+    hardware = HardwareScheduler(pattern)
+    claimed, advance, busy = BatchScheduler(pattern).schedule_packed(
+        pack_windows(windows), advance_limit=advance_limit
+    )
+    for index, w in enumerate(windows):
+        schedule = hardware.schedule_step(w, advance_limit=advance_limit)
+        expected = pack_windows(oracle_claims(schedule, depth, lanes)[None])[0]
+        assert claimed[index] == expected
+        assert advance[index] == schedule.advance
+        assert busy[index] == schedule.busy_lanes
 
 
 class TestSingleStep:
@@ -143,19 +178,7 @@ class TestStreamProcessing:
 class TestBatchScheduler:
     def test_matches_hardware_scheduler_on_random_windows(self):
         rng = np.random.default_rng(42)
-        hardware = HardwareScheduler()
-        batch = BatchScheduler()
-        windows = rng.random((64, 3, 16)) > 0.55
-        claimed, advance, busy = batch.schedule(windows)
-        for index in range(64):
-            schedule = hardware.schedule_step(windows[index])
-            expected = np.zeros((3, 16), dtype=bool)
-            for selection in schedule.selections:
-                if selection is not None:
-                    expected[selection] = True
-            assert np.array_equal(claimed[index], expected)
-            assert advance[index] == schedule.advance
-            assert busy[index] == schedule.busy_lanes
+        assert_packed_matches_oracle(rng.random((64, 3, 16)) > 0.55)
 
     def test_stream_cycles_matches_sequential_processing(self):
         rng = np.random.default_rng(9)
@@ -170,15 +193,62 @@ class TestBatchScheduler:
         rng = np.random.default_rng(10)
         batch = BatchScheduler()
         streams = rng.random((8, 25, 16)) > 0.6
-        together = batch.stream_cycles_batch(streams)
+        packed = np.zeros((8, 25 + 3), dtype=np.uint64)
+        packed[:, :25] = pack_stream_rows(streams)
+        together = batch.group_cycles_packed(packed, 1, np.full(8, 25))
         separate = np.array([batch.stream_cycles(s) for s in streams])
         assert np.array_equal(together, separate)
 
     def test_empty_batch_returns_zero_cycles(self):
         batch = BatchScheduler()
-        assert batch.stream_cycles_batch(np.zeros((3, 0, 16), dtype=bool)).tolist() == [0, 0, 0]
+        packed = np.zeros((3, 3), dtype=np.uint64)
+        assert batch.group_cycles_packed(packed, 1, np.zeros(3)).tolist() == [0, 0, 0]
+        assert batch.stream_cycles(np.zeros((0, 16), dtype=bool)) == 0
 
     def test_rejects_wrong_window_shape(self):
         batch = BatchScheduler()
         with pytest.raises(ValueError):
-            batch.schedule(np.zeros((4, 2, 16), dtype=bool))
+            batch.stream_cycles(np.zeros((4, 2, 16), dtype=bool))
+        with pytest.raises(ValueError):
+            batch.stream_cycles(np.zeros((4, 8), dtype=bool))
+
+
+class TestPackedScheduler:
+    """schedule_packed must mirror the per-cycle oracle bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_packed_matches_oracle_schedule(self, seed):
+        rng = np.random.default_rng(seed)
+        depth = int(rng.integers(1, 5))
+        windows = rng.random((64, depth, 16)) >= float(rng.random())
+        limit = int(rng.integers(1, depth + 1)) if rng.random() < 0.5 else None
+        assert_packed_matches_oracle(windows, advance_limit=limit)
+
+    def test_non_packable_config_rejects_packed_path(self):
+        scheduler = BatchScheduler(
+            ConnectivityPattern(lanes=32, staging_depth=3)
+        )
+        assert not scheduler.packable
+        with pytest.raises(ValueError):
+            scheduler.schedule_packed(np.zeros(4, dtype=np.uint64))
+
+    def test_non_packable_stream_cycles_use_the_oracle(self):
+        rng = np.random.default_rng(12)
+        pattern = ConnectivityPattern(lanes=16, staging_depth=5)
+        stream = rng.random((30, 16)) > 0.6
+        expected, _ = HardwareScheduler(pattern).process_stream(stream)
+        assert BatchScheduler(pattern).stream_cycles(stream) == expected
+
+
+class TestLockstepOracle:
+    def test_group_advances_at_the_slowest_row(self):
+        scheduler = HardwareScheduler()
+        sparse = np.zeros((12, 16), dtype=bool)
+        dense = np.ones((12, 16), dtype=bool)
+        assert scheduler.group_cycles(sparse[None]) == 4
+        assert scheduler.group_cycles(np.stack([sparse, dense])) == 12
+
+    def test_input_is_not_modified(self):
+        group = np.ones((2, 6, 16), dtype=bool)
+        HardwareScheduler().group_cycles(group)
+        assert group.all()

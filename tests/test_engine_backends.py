@@ -1,8 +1,8 @@
 """Backend equivalence and result-cache tests for the simulation engine.
 
 The engine's core guarantee is that backend choice is purely a wall-clock
-decision: ``vectorized`` and ``parallel`` must be bit-identical to the
-``reference`` oracle — same cycle counts, same MAC counts, same traffic —
+decision: ``vectorized`` must be bit-identical to the ``reference``
+oracle — same cycle counts, same MAC counts, same traffic —
 across sparsity levels and layer shapes.  These tests enforce that at the
 operation level (random row groups) and at the system level (traced
 layers through the full ``SimulationEngine``), and cover the on-disk
@@ -16,7 +16,6 @@ from repro.core.accelerator import Accelerator
 from repro.core.config import AcceleratorConfig
 from repro.core.tile import TensorDashTile
 from repro.engine import (
-    ParallelBackend,
     ReferenceBackend,
     ResultCache,
     SimulationEngine,
@@ -63,15 +62,12 @@ def assert_results_identical(lhs, rhs):
 
 
 class TestBackendRegistry:
-    def test_all_three_backends_registered(self):
-        assert {"reference", "vectorized", "parallel"} <= set(available_backends())
+    def test_both_backends_registered(self):
+        assert available_backends() == ["reference", "vectorized"]
 
     def test_get_backend_resolves_names_and_instances(self):
         assert isinstance(get_backend("reference"), ReferenceBackend)
         assert isinstance(get_backend(None), VectorizedBackend)
-        parallel = get_backend("parallel", jobs=3)
-        assert isinstance(parallel, ParallelBackend)
-        assert parallel.jobs == 3
         instance = VectorizedBackend()
         assert get_backend(instance) is instance
 
@@ -119,11 +115,12 @@ class TestOperationEquivalence:
         assert ref.tensordash_cycles == ref.baseline_cycles
 
     def test_accelerator_serial_and_batched_paths_agree(self):
+        """The oracle on a list of groups equals the fused packed kernel."""
         rng = np.random.default_rng(11)
         acc = Accelerator()
         groups = random_groups(rng, 5, 4, 29, sparsity=0.7)
-        serial = acc.run_operation_serial("AxW", list(groups))
-        batched = acc.run_operation_batched("AxW", groups)
+        serial = acc.run_operation("AxW", list(groups), oracle=True)
+        [batched] = acc.run_operations_batched([("AxW", groups)])
         assert serial == batched
 
 
@@ -137,18 +134,16 @@ class TestTileFastPath:
             b = rng.random((26, 16))
             b[rng.random((26, 16)) < sparsity] = 0.0
             b_streams.append(b)
-        tile = TensorDashTile()
-        serial = tile.process(a_streams, b_streams, compute_outputs=False,
-                              vectorized=False)
-        fast = tile.process(a_streams, b_streams, compute_outputs=False,
-                            vectorized=True)
-        assert serial.cycles == fast.cycles
-        assert serial.stall_cycles == fast.stall_cycles
-        assert serial.macs_performed == fast.macs_performed
+        serial = TensorDashTile().process(a_streams, b_streams,
+                                          compute_outputs=False)
+        effectual = np.stack([b != 0 for b in b_streams])
+        fast = Accelerator().run_operation("AxW", effectual[None])
+        assert serial.cycles == fast.tensordash_cycles
+        assert serial.macs_performed == fast.macs_effectual * len(a_streams)
 
 
 class TestSystemEquivalence:
-    """Traced layers through the full engine, all three backends."""
+    """Traced layers through the full engine, both backends."""
 
     @pytest.fixture(scope="class")
     def traces(self):
@@ -169,16 +164,17 @@ class TestSystemEquivalence:
         assert_results_identical(engine.simulate_layers(traces),
                                  reference_results)
 
-    def test_parallel_bit_identical(self, traces, reference_results):
-        engine = SimulationEngine(backend="parallel", jobs=2, max_groups=16)
-        results = engine.simulate_layers(traces)
-        assert_results_identical(results, reference_results)
-
-    def test_parallel_single_job_falls_back_in_process(self, traces,
-                                                       reference_results):
-        engine = SimulationEngine(backend="parallel", jobs=1, max_groups=16)
-        assert_results_identical(engine.simulate_layers(traces),
-                                 reference_results)
+    def test_wide_staging_window_runs_on_the_oracle(self, traces):
+        """Windows over 64 bits (depth 5 x 16 lanes) fall back, identically."""
+        config = AcceleratorConfig().with_pe(staging_depth=5)
+        assert not Accelerator(config).batch_scheduler.packable
+        reference = SimulationEngine(
+            config, backend="reference", max_groups=4
+        ).simulate_layers(traces)
+        vectorized = SimulationEngine(
+            config, backend="vectorized", max_groups=4
+        ).simulate_layers(traces)
+        assert_results_identical(vectorized, reference)
 
     def test_all_backends_identical_under_finite_hierarchy(self, traces):
         """Memory-aware results are backend-invariant too (incl. stalls)."""
@@ -193,11 +189,10 @@ class TestSystemEquivalence:
             for result in reference
             for op in result.operations.values()
         )
-        for backend, jobs in (("vectorized", None), ("parallel", 2)):
-            results = SimulationEngine(
-                config, backend=backend, jobs=jobs, max_groups=16
-            ).simulate_layers(traces)
-            assert_results_identical(results, reference)
+        results = SimulationEngine(
+            config, backend="vectorized", max_groups=16
+        ).simulate_layers(traces)
+        assert_results_identical(results, reference)
 
     def test_refill_clamp_equivalence_deep_staging(self):
         """staging depth > scratchpad banks: the clamp binds, backends agree."""
@@ -373,7 +368,7 @@ class TestRunnerIntegration:
         assert rerun.engine_stats.layers_simulated == 0
 
     def test_runner_backend_equivalence_on_trained_trace(self):
-        """End-to-end: a real (briefly trained) model, all backends agree."""
+        """End-to-end: a real (briefly trained) model, both backends agree."""
         from repro.models import build_snli
         from repro.nn.optim import MomentumSGD
         from repro.simulation.runner import ExperimentRunner
@@ -392,11 +387,10 @@ class TestRunnerIntegration:
         )
         trace = trainer.train(dataset, model_name="snli")
         results = {}
-        for backend in ("reference", "vectorized", "parallel"):
-            runner = ExperimentRunner(max_groups=8, backend=backend, jobs=2)
+        for backend in ("reference", "vectorized"):
+            runner = ExperimentRunner(max_groups=8, backend=backend)
             results[backend] = runner.run_final_epoch(trace)
         ref = results["reference"]
-        for backend in ("vectorized", "parallel"):
-            assert_results_identical(results[backend].layer_results,
-                                     ref.layer_results)
-            assert results[backend].speedup() == ref.speedup()
+        assert_results_identical(results["vectorized"].layer_results,
+                                 ref.layer_results)
+        assert results["vectorized"].speedup() == ref.speedup()

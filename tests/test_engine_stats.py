@@ -1,4 +1,4 @@
-"""EngineStats counter round-trips and concurrency with the parallel backend.
+"""EngineStats counter round-trips.
 
 ``as_dict``/``from_dict`` must survive documents written by newer code
 (extra keys), partial documents (missing counters default to zero), and
@@ -11,16 +11,15 @@ import numpy as np
 
 from repro.engine import SimulationEngine
 from repro.engine.engine import EngineStats
-from repro.telemetry.metrics import LAYERS_SIMULATED
 from tests.test_engine_backends import make_conv_trace
 
 
 class TestRoundTrips:
     def test_as_dict_from_dict_round_trip(self):
         stats = EngineStats(
-            backend="parallel", jobs=4, cache_dir="/tmp/c", shared_dir="/tmp/s",
+            backend="reference", cache_dir="/tmp/c",
             layers_simulated=10, cache_hits=7, cache_misses=3,
-            memo_hits=4, shared_hits=2, disk_hits=1,
+            memo_hits=4, disk_hits=3,
         )
         rebuilt = EngineStats.from_dict(stats.as_dict())
         assert rebuilt == stats
@@ -44,7 +43,6 @@ class TestRoundTrips:
     def test_from_dict_defaults_missing_counters(self):
         stats = EngineStats.from_dict({})
         assert stats.backend == "vectorized"
-        assert stats.jobs == 1
         assert stats.cache_dir is None
         assert stats.layers_total == 0
         assert stats.hit_rate == 0.0
@@ -63,15 +61,15 @@ class TestRoundTrips:
             cache_misses=2, memo_hits=1,
         )
         after = EngineStats(
-            backend="vectorized", jobs=2, layers_simulated=10, cache_hits=5,
-            cache_misses=7, memo_hits=2, shared_hits=1, disk_hits=2,
+            backend="vectorized", cache_dir="/tmp/c", layers_simulated=10,
+            cache_hits=5, cache_misses=7, memo_hits=2, disk_hits=3,
         )
         delta = after.since(before)
-        assert delta.jobs == 2
+        assert delta.cache_dir == "/tmp/c"
         assert delta.layers_simulated == 7
         assert delta.cache_hits == 4
         assert delta.cache_misses == 5
-        assert (delta.memo_hits, delta.shared_hits, delta.disk_hits) == (1, 1, 2)
+        assert (delta.memo_hits, delta.disk_hits) == (1, 3)
         # The delta survives its own serialisation round-trip.
         assert EngineStats.from_dict(delta.as_dict()) == delta
 
@@ -90,23 +88,3 @@ class TestRoundTrips:
         assert delta.cache_hits == 3
         assert delta.disk_hits == 3
         assert delta.hit_rate == 1.0
-
-
-class TestParallelBackendConcurrency:
-    def test_parallel_backend_metric_updates_are_exact(self):
-        """The parallel backend's worker threads must not lose counter
-        increments: engine stats and the telemetry counter agree with the
-        layer count exactly, run after run."""
-        rng = np.random.default_rng(23)
-        layers = [
-            make_conv_trace(rng, name=f"conv{i}", channels=4, size=8)
-            for i in range(6)
-        ]
-        engine = SimulationEngine(
-            backend="parallel", jobs=4, max_groups=8, max_batch=2,
-        )
-        metric_before = LAYERS_SIMULATED.value(backend="parallel")
-        for _ in range(3):
-            engine.simulate_layers(layers)
-        assert engine.stats.layers_simulated == 18
-        assert LAYERS_SIMULATED.value(backend="parallel") == metric_before + 18

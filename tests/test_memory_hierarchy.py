@@ -170,8 +170,8 @@ class TestRefillClamp:
         capacity_only = deep.with_hierarchy(sram_kb=10**6)
         assert Accelerator(capacity_only).refill_limit is None
         assert (
-            Accelerator(capacity_only).run_operation_batched("AxW", groups).tensordash_cycles
-            == Accelerator(deep).run_operation_batched("AxW", groups).tensordash_cycles
+            Accelerator(capacity_only).run_operation("AxW", groups).tensordash_cycles
+            == Accelerator(deep).run_operation("AxW", groups).tensordash_cycles
         )
 
     def test_clamp_only_binds_beyond_bank_depth(self):
@@ -182,16 +182,16 @@ class TestRefillClamp:
         deep = AcceleratorConfig().with_pe(staging_depth=4)
         unbounded = Accelerator(deep)
         bounded = Accelerator(deep.with_hierarchy(dram_bandwidth_gbps=51.2))
-        free = unbounded.run_operation_batched("AxW", groups)
-        clamped = bounded.run_operation_batched("AxW", groups)
+        free = unbounded.run_operation("AxW", groups)
+        clamped = bounded.run_operation("AxW", groups)
         assert clamped.tensordash_cycles > free.tensordash_cycles
         # At the default depth (3 = banks) the clamp can never bind.
         base = AcceleratorConfig()
         assert (
-            Accelerator(base).run_operation_batched("AxW", groups[:, :, :, :])
+            Accelerator(base).run_operation("AxW", groups[:, :, :, :])
             == Accelerator(
                 base.with_hierarchy(dram_bandwidth_gbps=51.2)
-            ).run_operation_batched("AxW", groups[:, :, :, :])
+            ).run_operation("AxW", groups[:, :, :, :])
         )
 
 

@@ -8,7 +8,8 @@ These cover the correctness properties the paper's hardware relies on:
   selection points at a pending effectual pair),
 * the cycle count is bounded below by ``rows / staging_depth`` and above
   by ``rows`` (never slower than the dense baseline),
-* the vectorised batch scheduler is bit-identical to the reference model.
+* the bit-packed batch kernel is bit-identical to the per-cycle oracle,
+  at every packable staging depth and refill limit.
 """
 
 import numpy as np
@@ -20,6 +21,8 @@ from repro.core.config import PEConfig
 from repro.core.pe import BaselinePE, TensorDashPE
 from repro.core.scheduler import BatchScheduler, HardwareScheduler
 
+from test_core_scheduler import assert_packed_matches_oracle
+
 
 def effectual_windows(depth=3, lanes=16):
     return arrays(np.bool_, (depth, lanes), elements=st.booleans())
@@ -29,6 +32,15 @@ def effectual_streams(max_rows=20, lanes=16):
     return st.integers(min_value=1, max_value=max_rows).flatmap(
         lambda rows: arrays(np.bool_, (rows, lanes), elements=st.booleans())
     )
+
+
+@st.composite
+def packed_schedule_cases(draw, lanes=16):
+    """A window at a random packable depth (1-4) plus a refill limit."""
+    depth = draw(st.integers(min_value=1, max_value=4))
+    window = draw(arrays(np.bool_, (depth, lanes), elements=st.booleans()))
+    limit = draw(st.one_of(st.none(), st.integers(min_value=1, max_value=depth)))
+    return window, limit
 
 
 @st.composite
@@ -71,17 +83,10 @@ class TestSchedulerStepProperties:
         assert 1 <= schedule.advance <= 3
 
     @settings(max_examples=200, deadline=None)
-    @given(effectual_windows())
-    def test_batch_scheduler_is_bit_identical(self, window):
-        hardware = HardwareScheduler().schedule_step(window)
-        claimed, advance, busy = BatchScheduler().schedule(window[None])
-        expected = np.zeros_like(window)
-        for selection in hardware.selections:
-            if selection is not None:
-                expected[selection] = True
-        assert np.array_equal(claimed[0], expected)
-        assert advance[0] == hardware.advance
-        assert busy[0] == hardware.busy_lanes
+    @given(packed_schedule_cases())
+    def test_batch_scheduler_is_bit_identical(self, case):
+        window, limit = case
+        assert_packed_matches_oracle(window[None], advance_limit=limit)
 
 
 class TestStreamProperties:

@@ -145,7 +145,7 @@ class TestRegistry:
             series["labels"]["tier"]
             for series in payload["repro_cache_hits_total"]["values"]
         }
-        assert {"memo", "shared", "disk"} <= tiers
+        assert {"memo", "disk"} <= tiers
         assert "repro_cache_misses_total" in payload
 
 
