@@ -1,10 +1,12 @@
-"""Microbenchmark: wall-clock comparison of the simulation-engine backends.
+"""Microbenchmark: the fused engine path against the per-cycle oracle.
 
 Trains the scaled ResNet-50 workload briefly, then simulates its final
-epoch trace through both backends (``reference`` and ``vectorized``) with
-identical sampling parameters, checks that the vectorized kernel is
-bit-identical to the reference oracle, and measures the cold/warm
-behaviour of the on-disk result cache.
+epoch trace twice with identical sampling parameters: once layer by layer
+through the scheduler oracle (``LayerSimulator.simulate_layer(...,
+oracle=True)``, reported as ``reference``) and once through the engine's
+fused packed-kernel path (``SimulationEngine.simulate_layers``, reported
+as ``vectorized``).  It checks that the two are bit-identical and
+measures the cold/warm behaviour of the on-disk result cache.
 
 Results are printed as a table and emitted to ``BENCH_engine.json`` at
 the repository root, including a per-layer timing breakdown so future
@@ -34,13 +36,14 @@ from benchmarks.common import get_trace, print_header
 
 from repro.analysis.reporting import format_table
 from repro.engine import SimulationEngine
+from repro.simulation.cycle_sim import traced_layers
 
 #: ResNet-scale sampling: large enough that scheduling dominates wall
 #: clock and the batched numpy kernels have a real batch to amortise over.
 MAX_GROUPS = 512
 WORKLOAD = "resnet50"
 OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_engine.json"
-#: The vectorized backend must beat the reference path by at least this
+#: The fused path must beat the oracle loop by at least this
 #: factor on the full trace; the run fails otherwise so a performance
 #: regression turns CI red instead of hiding in the artifact.
 MIN_VECTORIZED_SPEEDUP = 10.0
@@ -55,6 +58,18 @@ CHECK_MAX_GROUPS = 64
 #: container, so 5x leaves a 2x margin for slower/noisier runners.
 CHECK_FLOOR_FALLBACK = 5.0
 
+
+def _run(name: str, layers, max_groups: int):
+    """Simulate ``layers`` the ``reference`` (oracle) or ``vectorized`` way."""
+    engine = SimulationEngine(max_groups=max_groups)
+    if name == "reference":
+        return [
+            engine.simulator.simulate_layer(layer, oracle=True)
+            for layer in traced_layers(layers)
+        ]
+    return engine.simulate_layers(layers)
+
+
 def _identical(lhs, rhs) -> bool:
     if [r.layer_name for r in lhs] != [r.layer_name for r in rhs]:
         return False
@@ -68,7 +83,7 @@ def run_check() -> int:
     """CI perf gate: reduced trace, ratio compared against the recorded floor."""
     print_header(
         "Engine perf gate (reduced trace)",
-        "Ratio-based regression gate: vectorized vs reference on a small "
+        "Ratio-based regression gate: fused path vs oracle on a small "
         "workload, floor from the committed BENCH_engine.json",
     )
     floor = CHECK_FLOOR_FALLBACK
@@ -82,19 +97,17 @@ def run_check() -> int:
 
     timings = {}
     results = {}
-    for backend in ("reference", "vectorized"):
-        # Best of three: the vectorized pass is fast enough that a single
+    for name in ("reference", "vectorized"):
+        # Best of three: the fused pass is fast enough that a single
         # sample is dominated by allocator/page-cache noise.
         best = float("inf")
         for _ in range(3):
-            engine = SimulationEngine(backend=backend,
-                                      max_groups=CHECK_MAX_GROUPS)
             start = time.perf_counter()
-            results[backend] = engine.simulate_layers(layers)
+            results[name] = _run(name, layers, CHECK_MAX_GROUPS)
             best = min(best, time.perf_counter() - start)
-        timings[backend] = best
+        timings[name] = best
     if not _identical(results["vectorized"], results["reference"]):
-        raise AssertionError("vectorized diverged from the reference oracle")
+        raise AssertionError("the fused path diverged from the oracle loop")
     ratio = timings["reference"] / timings["vectorized"]
     print(f"{CHECK_WORKLOAD} (max_groups={CHECK_MAX_GROUPS}): "
           f"reference {timings['reference']:.3f}s, "
@@ -102,7 +115,7 @@ def run_check() -> int:
           f"(floor: {floor}x)")
     if ratio < floor:
         raise AssertionError(
-            f"vectorized backend is only {ratio:.2f}x the reference path "
+            f"fused path is only {ratio:.2f}x the oracle loop "
             f"on the reduced trace (required: >= {floor}x)"
         )
     print("perf gate passed")
@@ -111,9 +124,9 @@ def run_check() -> int:
 
 def main() -> int:
     print_header(
-        "Simulation-engine backend comparison",
-        "Engine microbenchmark (no paper figure): reference vs vectorized, "
-        "plus result-cache effectiveness",
+        "Simulation engine vs oracle",
+        "Engine microbenchmark (no paper figure): oracle loop (reference) "
+        "vs fused path (vectorized), plus result-cache effectiveness",
     )
     trace = get_trace(WORKLOAD, epochs=1)
     layers = trace.final_epoch().layers
@@ -123,19 +136,17 @@ def main() -> int:
 
     timings = {}
     results = {}
-    for backend in ("reference", "vectorized"):
-        engine = SimulationEngine(backend=backend, max_groups=MAX_GROUPS)
+    for name in ("reference", "vectorized"):
         start = time.perf_counter()
-        results[backend] = engine.simulate_layers(layers)
-        timings[backend] = time.perf_counter() - start
+        results[name] = _run(name, layers, MAX_GROUPS)
+        timings[name] = time.perf_counter() - start
 
     bit_identical = _identical(results["vectorized"], results["reference"])
     if not bit_identical:
-        raise AssertionError("vectorized diverged from the reference oracle")
+        raise AssertionError("the fused path diverged from the oracle loop")
 
-    # Per-layer attribution (vectorized, one layer at a time).
-    simulator = SimulationEngine(backend="vectorized",
-                                 max_groups=MAX_GROUPS).simulator
+    # Per-layer attribution (packed kernel, one layer at a time).
+    simulator = SimulationEngine(max_groups=MAX_GROUPS).simulator
     per_layer = []
     for layer in layers:
         start = time.perf_counter()
@@ -147,16 +158,12 @@ def main() -> int:
 
     # Cache behaviour: cold run populates, warm run must re-simulate nothing.
     with tempfile.TemporaryDirectory() as cache_dir:
-        cold_engine = SimulationEngine(
-            backend="vectorized", cache_dir=cache_dir, max_groups=MAX_GROUPS
-        )
+        cold_engine = SimulationEngine(cache_dir=cache_dir, max_groups=MAX_GROUPS)
         start = time.perf_counter()
         cold_engine.simulate_layers(layers)
         cold_seconds = time.perf_counter() - start
 
-        warm_engine = SimulationEngine(
-            backend="vectorized", cache_dir=cache_dir, max_groups=MAX_GROUPS
-        )
+        warm_engine = SimulationEngine(cache_dir=cache_dir, max_groups=MAX_GROUPS)
         start = time.perf_counter()
         warm_results = warm_engine.simulate_layers(layers)
         warm_seconds = time.perf_counter() - start
@@ -173,8 +180,8 @@ def main() -> int:
     rows.append(["vectorized+warm-cache", warm_seconds,
                  reference_seconds / warm_seconds if warm_seconds else float("inf")])
     print(format_table(
-        f"{WORKLOAD}: backend wall-clock",
-        ["backend", "seconds", "speedup vs reference"],
+        f"{WORKLOAD}: engine wall-clock",
+        ["path", "seconds", "speedup vs reference"],
         rows,
     ))
 
@@ -212,11 +219,11 @@ def main() -> int:
     print(f"\nWrote {OUTPUT}")
 
     vectorized_speedup = payload["backends"]["vectorized"]["speedup_vs_reference"]
-    print(f"Vectorized speedup over reference: {vectorized_speedup:.2f}x")
+    print(f"Fused path speedup over the oracle: {vectorized_speedup:.2f}x")
     if vectorized_speedup < MIN_VECTORIZED_SPEEDUP:
         raise AssertionError(
-            f"vectorized backend is only {vectorized_speedup:.2f}x the "
-            f"reference path (required: >= {MIN_VECTORIZED_SPEEDUP}x)"
+            f"fused path is only {vectorized_speedup:.2f}x the oracle "
+            f"loop (required: >= {MIN_VECTORIZED_SPEEDUP}x)"
         )
     return 0
 

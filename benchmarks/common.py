@@ -11,11 +11,9 @@ the substrate is an analytical simulator — see DESIGN.md), but the shape of
 each result (who wins, by roughly what factor, where the trends bend) is
 what the benchmarks reproduce and what EXPERIMENTS.md records.
 
-Simulation runs through the pluggable engine (:mod:`repro.engine`); three
+Simulation runs through the engine (:mod:`repro.engine`); two
 environment variables steer it without touching any benchmark:
 
-* ``REPRO_BACKEND`` — ``reference`` / ``vectorized``
-  (default ``vectorized``; the backends are bit-identical);
 * ``REPRO_CACHE_DIR`` — enable the on-disk result cache so repeated
   harness runs skip already-simulated layers;
 * ``REPRO_STUDY_JOBS`` — worker processes for study-level parallelism
@@ -51,11 +49,7 @@ def engine_kwargs() -> Dict[str, object]:
     """
     from repro.engine.options import resolve_engine_options
 
-    options = resolve_engine_options()
-    return {
-        "backend": options.backend,
-        "cache_dir": options.cache_dir,
-    }
+    return {"cache_dir": resolve_engine_options().cache_dir}
 
 
 def study_kwargs() -> Dict[str, object]:

@@ -38,9 +38,9 @@ Sparsity to Accelerate Deep Neural Network Training and Inference"
     and the experiment runner used by the benchmark harness.
 
 ``repro.engine``
-    The pluggable execution layer: bit-identical reference / vectorized
-    simulation backends, plus the content-addressed on-disk
-    result cache that lets sweeps skip already-simulated layers.
+    The simulation engine: one fused execution path over the cycle
+    simulator, plus the content-addressed on-disk result cache that
+    lets sweeps skip already-simulated layers.
 
 ``repro.explore``
     Declarative design-space exploration: JSON-loadable study specs over

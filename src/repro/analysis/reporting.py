@@ -60,10 +60,10 @@ def format_table(
 
 
 def format_engine_stats(stats) -> str:
-    """One-line backend + cache summary for an ``EngineStats`` record.
+    """One-line engine + cache summary for an ``EngineStats`` record.
 
-    Shown after every simulate/sweep run so cache effectiveness (and which
-    execution backend produced the numbers) is visible in the report.
+    Shown after every simulate/sweep run so cache effectiveness is
+    visible in the report.
     """
     parts = [f"engine: backend={stats.backend}"]
     parts.append(f"layers simulated={stats.layers_simulated}")

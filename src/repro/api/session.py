@@ -84,9 +84,9 @@ class Session:
 
     Parameters
     ----------
-    backend / cache_dir / telemetry_dir:
-        Engine knobs; ``None`` falls back to the ``REPRO_BACKEND`` /
-        ``REPRO_CACHE_DIR`` / ``REPRO_TELEMETRY_DIR`` environment
+    cache_dir / telemetry_dir:
+        Engine knobs; ``None`` falls back to the ``REPRO_CACHE_DIR`` /
+        ``REPRO_TELEMETRY_DIR`` environment
         variables, then the defaults.  Several processes may share one
         ``cache_dir``; ``telemetry_dir`` enables the
         process-wide span tracer (:mod:`repro.telemetry`) and every
@@ -114,7 +114,6 @@ class Session:
 
     def __init__(
         self,
-        backend: Optional[str] = None,
         cache_dir: Optional[str] = None,
         telemetry_dir: Optional[str] = None,
         study_jobs: Optional[int] = None,
@@ -123,7 +122,7 @@ class Session:
         max_cached_traces: int = 16,
     ):
         self.options: EngineOptions = resolve_engine_options(
-            backend=backend, cache_dir=cache_dir,
+            cache_dir=cache_dir,
             telemetry_dir=telemetry_dir,
             study_jobs=study_jobs, environ=environ,
         )
@@ -133,9 +132,7 @@ class Session:
             configure_telemetry(self.options.telemetry_dir)
         self.seed = 0 if seed is None else int(seed)
         self.engine = SimulationEngine(
-            backend=self.options.backend,
-            cache_dir=self.options.cache_dir,
-            memory_cache=True,
+            cache_dir=self.options.cache_dir, memory_cache=True
         )
         self._traces: "OrderedDict[Tuple, object]" = OrderedDict()
         self._max_cached_traces = max(1, int(max_cached_traces))
@@ -472,7 +469,6 @@ class Session:
         return StudyRunner(
             spec,
             study_dir=study_dir,
-            backend=self.options.backend,
             cache_dir=self.options.cache_dir,
             engine=self.engine,
             study_jobs=study_jobs,

@@ -91,18 +91,15 @@ spans in an append-only JSONL log under DIR, ready for ``repro trace``.
 Disabled (the default), telemetry costs nothing and outputs are
 bit-identical.
 
-Every simulating subcommand executes through the pluggable simulation
-engine (:mod:`repro.engine`): ``--backend`` selects the execution strategy
-(``reference`` oracle loop or the bit-packed ``vectorized`` fast path),
-which are bit-identical; ``--cache-dir`` enables the on-disk result cache so
+Every simulating subcommand executes through the simulation engine
+(:mod:`repro.engine`): ``--cache-dir`` enables the on-disk result cache so
 repeated runs, sweeps and resumed studies skip already-simulated layers.
-Unset flags fall back to the ``REPRO_BACKEND`` / ``REPRO_CACHE_DIR``
-environment variables (one shared resolution helper,
-:func:`repro.engine.resolve_engine_options`).  Cache entries are
-content-addressed by (accelerator-config hash, layer-trace hash, backend
-name): changing any configuration knob, the traced operands (e.g. via
-``--seed`` or ``--epochs``) or the backend simply produces new keys, so
-stale results are never returned — old entries are inert files and the
+An unset flag falls back to the ``REPRO_CACHE_DIR`` environment variable
+(one shared resolution helper, :func:`repro.engine.resolve_engine_options`).
+Cache entries are content-addressed by (accelerator-config hash,
+layer-trace hash): changing any configuration knob or the traced operands
+(e.g. via ``--seed`` or ``--epochs``) simply produces new keys, so stale
+results are never returned — old entries are inert files and the
 cache directory can be deleted at any time to reclaim space.
 
 Examples
@@ -112,7 +109,6 @@ Examples
     python -m repro --version
     python -m repro list-models
     python -m repro simulate alexnet --epochs 2
-    python -m repro simulate vgg16 --backend reference
     python -m repro simulate snli --format json
     python -m repro roofline snli --dram-bandwidth-gbps 4
     python -m repro scale resnet50 --devices 8 --partition data --trace-max-batch 8
@@ -142,7 +138,6 @@ from typing import List, Optional, Tuple
 
 from repro._version import __version__
 from repro.analysis.reporting import format_engine_stats, format_table
-from repro.engine import available_backends
 from repro.explore.spec import KNOBS, SCALE_KNOBS
 from repro.models.registry import MODEL_REGISTRY, available_models
 
@@ -152,17 +147,11 @@ def _add_engine_arguments(
 ) -> None:
     """Engine flags shared by every simulating subcommand."""
     command.add_argument(
-        "--backend", choices=available_backends(), default=None,
-        help="execution strategy: 'reference' is the readable bit-exact "
-             "oracle, 'vectorized' schedules all work groups through the "
-             "bit-packed kernel; both produce identical results "
-             "(default: $REPRO_BACKEND, else vectorized)")
-    command.add_argument(
         "--cache-dir", default=None,
         help="directory for the on-disk result cache; layers already "
-             "simulated under the same (config, trace, backend) key are "
+             "simulated under the same (config, trace) key are "
              "loaded instead of re-simulated.  Keys are content hashes, so "
-             "changing the config, seed/trace or backend invalidates "
+             "changing the config or seed/trace invalidates "
              "entries automatically; delete the directory to reclaim space.  "
              "Concurrent runs may share one directory "
              "(default: $REPRO_CACHE_DIR, else disabled)")
@@ -489,7 +478,6 @@ def _session_for(args: argparse.Namespace):
     from repro.api.session import Session
 
     return Session(
-        backend=args.backend,
         cache_dir=args.cache_dir,
         telemetry_dir=getattr(args, "telemetry_dir", None),
         study_jobs=getattr(args, "study_jobs", None),

@@ -7,7 +7,6 @@ and 3.1-3.7 of the paper:
   connectivity (lookahead / lookaside movement options).
 * :mod:`repro.core.scheduler` — the hierarchical combinational hardware
   scheduler: the per-cycle oracle and its bit-packed batch kernel.
-* :mod:`repro.core.staging` — the N-deep operand staging buffers.
 * :mod:`repro.core.pe` — baseline (dense) and TensorDash processing elements.
 * :mod:`repro.core.tile` — grids of PEs with shared B-side scheduling and
   inter-PE synchronisation stalls.
@@ -22,7 +21,6 @@ and 3.1-3.7 of the paper:
 from repro.core.config import AcceleratorConfig, PEConfig, TileConfig
 from repro.core.interconnect import ConnectivityPattern
 from repro.core.scheduler import HardwareScheduler, Schedule, BatchScheduler
-from repro.core.staging import StagingBuffer
 from repro.core.pe import BaselinePE, TensorDashPE
 from repro.core.tile import BaselineTile, TensorDashTile
 from repro.core.accelerator import Accelerator
@@ -38,7 +36,6 @@ __all__ = [
     "HardwareScheduler",
     "Schedule",
     "BatchScheduler",
-    "StagingBuffer",
     "BaselinePE",
     "TensorDashPE",
     "BaselineTile",

@@ -92,36 +92,32 @@ class PreScheduler:
         self.scheduler = HardwareScheduler(self.pattern)
 
     def compress(self, stream: np.ndarray) -> ScheduledTensor:
-        """Pack a dense ``(rows, lanes)`` stream into scheduled form."""
+        """Pack a dense ``(rows, lanes)`` stream into scheduled form.
+
+        The schedule comes from the scheduler oracle run as a one-row
+        lockstep group over the stream's non-zeros; each cycle's
+        selections become one packed row.
+        """
         stream = np.asarray(stream, dtype=np.float64)
         if stream.ndim != 2 or stream.shape[1] != self.pattern.lanes:
             raise ValueError(
                 f"stream must be (rows, {self.pattern.lanes}), got {stream.shape}"
             )
         rows, lanes = stream.shape
-        depth = self.pattern.staging_depth
-        pending = stream != 0
-        pending = pending.copy()
         packed: List[ScheduledRow] = []
-        position = 0
-        while position < rows:
-            window = np.zeros((depth, lanes), dtype=bool)
-            visible = min(depth, rows - position)
-            window[:visible] = pending[position : position + visible]
-            schedule = self.scheduler.schedule_step(window)
+        for position, (schedule,) in self.scheduler.lockstep_schedules(
+            (stream != 0)[None]
+        ):
             values = np.zeros(lanes, dtype=np.float64)
             indices: List[Optional[int]] = [None] * lanes
             for lane, selection in enumerate(schedule.selections):
                 if selection is None:
                     continue
                 step, source_lane = selection
-                stream_row = position + step
-                pending[stream_row, source_lane] = False
-                values[lane] = stream[stream_row, source_lane]
+                values[lane] = stream[position + step, source_lane]
                 indices[lane] = schedule.select_signals[lane]
             advance = min(schedule.advance, rows - position)
             packed.append(ScheduledRow(values=values, indices=indices, advance=advance))
-            position += advance
         return ScheduledTensor(rows=packed, dense_rows=rows, lanes=lanes)
 
     def decompress(self, scheduled: ScheduledTensor) -> np.ndarray:

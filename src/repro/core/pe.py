@@ -21,7 +21,6 @@ import numpy as np
 from repro.core.config import PEConfig
 from repro.core.interconnect import ConnectivityPattern
 from repro.core.scheduler import HardwareScheduler, Schedule
-from repro.core.staging import StagingBuffer
 
 
 @dataclass
@@ -92,55 +91,38 @@ class TensorDashPE:
         """Process aligned operand streams, skipping ineffectual pairs.
 
         Returns the functional/cycle result plus the per-cycle schedules
-        (useful for inspecting MS/AS signal behaviour in tests).
+        (useful for inspecting MS/AS signal behaviour in tests).  The
+        cycles come from the scheduler oracle run as a one-row lockstep
+        group; the PE adds the MAC accumulate for each selection.
         """
         a_stream = np.asarray(a_stream, dtype=np.float64)
         b_stream = np.asarray(b_stream, dtype=np.float64)
         _validate_streams(a_stream, b_stream, self.config.lanes)
-
-        a_buffer = StagingBuffer(a_stream, depth=self.config.staging_depth)
-        b_buffer = StagingBuffer(b_stream, depth=self.config.staging_depth)
-
-        rows = a_stream.shape[0]
         if self.config.two_side:
-            pending = (a_stream != 0) & (b_stream != 0)
+            effectual = (a_stream != 0) & (b_stream != 0)
         else:
-            pending = b_stream != 0
-        pending = pending.copy()
+            effectual = b_stream != 0
 
-        cycles = 0
         output = 0.0
         macs_performed = 0
         schedules: List[Schedule] = []
-        depth = self.config.staging_depth
-        lanes = self.config.lanes
-
-        position = 0
-        while position < rows:
-            window = np.zeros((depth, lanes), dtype=bool)
-            visible = min(depth, rows - position)
-            window[:visible] = pending[position : position + visible]
-            schedule = self.scheduler.schedule_step(window)
+        for position, (schedule,) in self.scheduler.lockstep_schedules(
+            effectual[None]
+        ):
             for selection in schedule.selections:
                 if selection is None:
                     continue
                 step, lane = selection
                 row = position + step
-                pending[row, lane] = False
                 output += float(a_stream[row, lane]) * float(b_stream[row, lane])
                 macs_performed += 1
-            advance = min(schedule.advance, rows - position)
-            a_buffer.advance(advance)
-            b_buffer.advance(advance)
-            position += advance
-            cycles += 1
             schedules.append(schedule)
 
         result = PEResult(
-            cycles=cycles,
+            cycles=len(schedules),
             output=output,
             macs_performed=macs_performed,
-            macs_total=rows * lanes,
+            macs_total=a_stream.shape[0] * self.config.lanes,
         )
         return result, schedules
 

@@ -17,8 +17,9 @@ Cycles are counted in exactly two places, both here:
 * :class:`HardwareScheduler` — the paper-faithful oracle: a readable model
   of one scheduling step (:meth:`~HardwareScheduler.schedule_step`) and
   the one per-cycle loop over a lockstep group of PE rows
-  (:meth:`~HardwareScheduler.lockstep_schedules`), used by the PE/tile
-  models, the ``reference`` engine backend and every equivalence test.
+  (:meth:`~HardwareScheduler.lockstep_schedules`), used by the PE, tile
+  and pre-scheduler models, the ``oracle=True`` simulation reference and
+  every equivalence test.
 * :class:`BatchScheduler` — the fast kernel: the same decisions on
   bit-packed ``uint64`` windows (:meth:`~BatchScheduler.schedule_packed`)
   driven over ragged batches of groups

@@ -2,7 +2,8 @@
 
 Sweeps and repeated benchmark runs re-simulate the same (configuration,
 layer trace) pairs over and over; this cache makes the second and later
-runs free.  Entries are keyed by a SHA-256 over three fingerprints:
+runs free.  Entries are keyed by a SHA-256 over two fingerprints and a
+fixed label:
 
 * the **configuration fingerprint** — every field of the
   :class:`~repro.core.config.AcceleratorConfig` (including the
@@ -11,7 +12,9 @@ runs free.  Entries are keyed by a SHA-256 over three fingerprints:
   parameters (``max_groups``, ``max_batch``) that shape the simulated work;
 * the **trace fingerprint** — the layer's hyper-parameters and the raw
   bytes of its boolean operand masks;
-* the **backend name** under which the result was produced.
+* :data:`ENGINE_LABEL`, the name of the one execution path.  It is kept
+  in the key (and in reports) so caches written when the engine still
+  had a choice of backends keep hitting.
 
 Invalidation is purely structural: change any input and the key changes,
 so a stale entry can never be returned — it is simply never looked up
@@ -21,9 +24,9 @@ subset of it) at any time to reclaim space.  A bump of
 format changes are rolled out.
 
 Values are stored as small JSON documents (one file per layer, sharded by
-key prefix to keep directories shallow), so caches are portable,
-inspectable with standard tools, and safe to share between backends that
-are bit-identical.  Corrupt or truncated files are treated as misses.
+key prefix to keep directories shallow), so caches are portable and
+inspectable with standard tools.  Corrupt or truncated files are treated
+as misses.
 Stores write a temporary file and rename it into place, so several
 processes may share one cache directory: a reader sees a whole entry or
 none.
@@ -44,6 +47,12 @@ import numpy as np
 #: Version 2 added the memory-hierarchy fields (stall cycles, effective
 #: DRAM bytes, bound verdict) to the per-operation payload.
 CACHE_SCHEMA_VERSION = 2
+
+#: The engine's label: part of every cache key, reported as
+#: ``EngineStats.as_dict()["backend"]``, the ``engine: backend=...`` report
+#: line and the ``backend`` label of ``repro_layers_simulated_total``.
+#: Changing it orphans every existing cache entry.
+ENGINE_LABEL = "vectorized"
 
 
 def _hasher() -> "hashlib._Hash":
@@ -86,10 +95,10 @@ def trace_fingerprint(trace) -> str:
     return digest.hexdigest()
 
 
-def layer_key(config_fp: str, trace_fp: str, backend_name: str) -> str:
-    """Content address of one (config, trace, backend) simulation."""
+def layer_key(config_fp: str, trace_fp: str) -> str:
+    """Content address of one (config, trace) simulation."""
     digest = _hasher()
-    digest.update(f"{config_fp}|{trace_fp}|{backend_name}".encode())
+    digest.update(f"{config_fp}|{trace_fp}|{ENGINE_LABEL}".encode())
     return digest.hexdigest()
 
 

@@ -1,14 +1,11 @@
-"""The simulation engine: backend dispatch + result caching in one place.
+"""The simulation engine: layer simulation + result caching in one place.
 
 :class:`SimulationEngine` is what the execution stack (experiment runner,
 CLI, API session, benchmark harness) drives instead of a bare
-:class:`~repro.simulation.cycle_sim.LayerSimulator`.  It owns three things:
+:class:`~repro.simulation.cycle_sim.LayerSimulator`.  It owns two things:
 
-* a :class:`~repro.engine.backend.SimulationBackend` that decides *how*
-  layers execute (the readable reference oracle or the bit-packed
-  vectorized fast path);
-* an optional result-cache stack that skips layers whose (config, trace,
-  backend) triple has been simulated before — a content-addressed
+* an optional result-cache stack that skips layers whose (config, trace)
+  pair has been simulated before — a content-addressed
   :class:`~repro.engine.cache.ResultCache` on disk, an in-process memo
   (``memory_cache=True``, used by :class:`repro.api.Session` so repeated
   requests in one session never re-simulate), or both layered;
@@ -18,8 +15,8 @@ One engine serves any number of accelerator configurations: every
 ``simulate_layers`` call may carry its own ``config`` (and sampling
 parameters), and the engine keeps one :class:`LayerSimulator` per
 configuration fingerprint.  This is what lets a long-lived session run
-simulate/sweep/explore/roofline workloads through a single backend,
-one cache namespace and one set of counters.
+simulate/sweep/explore/roofline workloads through one cache namespace
+and one set of counters.
 
 The engine guarantees order preservation: results come back in trace
 order whether they were cache hits or freshly simulated.
@@ -29,17 +26,17 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import AcceleratorConfig
-from repro.engine.backend import SimulationBackend, get_backend, traced_layers
 from repro.engine.cache import (
+    ENGINE_LABEL,
     ResultCache,
     config_fingerprint,
     layer_key,
     trace_fingerprint,
 )
-from repro.simulation.cycle_sim import LayerResult, LayerSimulator
+from repro.simulation.cycle_sim import LayerResult, LayerSimulator, traced_layers
 from repro.telemetry import metrics as _metrics
 from repro.telemetry.tracing import get_tracer
 
@@ -53,13 +50,17 @@ class EngineStats:
     served it (in-process memo, on-disk cache).
     """
 
-    backend: str
     cache_dir: Optional[str] = None
     layers_simulated: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
     memo_hits: int = 0
     disk_hits: int = 0
+
+    @property
+    def backend(self) -> str:
+        """The engine's fixed label (:data:`~repro.engine.cache.ENGINE_LABEL`)."""
+        return ENGINE_LABEL
 
     @property
     def layers_total(self) -> int:
@@ -89,14 +90,13 @@ class EngineStats:
     def from_dict(cls, payload: Dict[str, object]) -> "EngineStats":
         """Rebuild counters from an :meth:`as_dict` document.
 
-        Derived fields (``hit_rate``) and unknown keys are ignored, so
-        documents from newer writers — and the keys older writers emitted
-        for the retired worker-pool and shared-tier features — still
-        load.
+        Derived fields (``hit_rate``), the constant ``backend`` label and
+        unknown keys are ignored, so documents from newer writers — and
+        the keys older writers emitted for the retired worker-pool and
+        shared-tier features — still load.
         """
         cache_dir = payload.get("cache_dir")
         return cls(
-            backend=str(payload.get("backend", "vectorized")),
             cache_dir=str(cache_dir) if cache_dir else None,
             layers_simulated=int(payload.get("layers_simulated", 0)),
             cache_hits=int(payload.get("cache_hits", 0)),
@@ -112,9 +112,10 @@ class EngineStats:
     def absorb(self, other: "EngineStats") -> None:
         """Add another record's counters into this one, exactly.
 
-        Metadata (backend, cache_dir) is kept from ``self``; every counter — including the per-tier hit attribution
-        — is summed, so aggregating N worker deltas reproduces the
-        totals a single engine doing all the work would have recorded.
+        Metadata (cache_dir) is kept from ``self``; every counter —
+        including the per-tier hit attribution — is summed, so aggregating
+        N worker deltas reproduces the totals a single engine doing all the
+        work would have recorded.
         """
         self.layers_simulated += other.layers_simulated
         self.cache_hits += other.cache_hits
@@ -125,12 +126,11 @@ class EngineStats:
     def since(self, earlier: "EngineStats") -> "EngineStats":
         """The activity between an earlier :meth:`snapshot` and now.
 
-        Metadata (backend, cache_dir) comes from ``self``; the
-        counters are differences.  This is how a shared long-lived engine
+        Metadata (cache_dir) comes from ``self``; the counters are
+        differences.  This is how a shared long-lived engine
         reports per-request work.
         """
         return EngineStats(
-            backend=self.backend,
             cache_dir=self.cache_dir,
             layers_simulated=self.layers_simulated - earlier.layers_simulated,
             cache_hits=self.cache_hits - earlier.cache_hits,
@@ -141,24 +141,20 @@ class EngineStats:
 
 
 class SimulationEngine:
-    """Backend-pluggable, cache-aware driver for layer simulations.
+    """Cache-aware driver for layer simulations.
 
     Parameters
     ----------
     config:
         Default accelerator configuration (Table 2 defaults when
         omitted).  Individual ``simulate_layers`` calls may override it.
-    backend:
-        Backend name (``"reference"`` or ``"vectorized"``) or a
-        :class:`SimulationBackend` instance.
     cache_dir:
         Directory for the on-disk result cache; ``None`` disables the
-        disk layer.  Entries are keyed by (config hash, trace hash,
-        backend), so any change to the accelerator configuration —
-        including the memory-hierarchy bandwidth/capacity parameters —
-        the sampling parameters, the traced operands or the backend
-        invalidates them structurally; results simulated under different
-        hierarchies can never collide.
+        disk layer.  Entries are keyed by (config hash, trace hash), so
+        any change to the accelerator configuration — including the
+        memory-hierarchy bandwidth/capacity parameters — the sampling
+        parameters or the traced operands invalidates them structurally;
+        results simulated under different hierarchies can never collide.
     max_groups / max_batch:
         Default stream-sampling parameters, forwarded to the layer
         simulator (and folded into the cache key).  Overridable per call.
@@ -173,23 +169,18 @@ class SimulationEngine:
     def __init__(
         self,
         config: Optional[AcceleratorConfig] = None,
-        backend: Union[str, SimulationBackend, None] = "vectorized",
         cache_dir: Optional[str] = None,
         max_groups: Optional[int] = 256,
         max_batch: Optional[int] = 4,
         memory_cache: bool = False,
     ):
         self.config = config or AcceleratorConfig()
-        self.backend = get_backend(backend)
         self.max_groups = max_groups
         self.max_batch = max_batch
         self.cache = ResultCache(cache_dir) if cache_dir else None
         self._memo: Optional[Dict[str, LayerResult]] = {} if memory_cache else None
         self._simulators: Dict[str, LayerSimulator] = {}
-        self.stats = EngineStats(
-            backend=self.backend.name,
-            cache_dir=str(cache_dir) if cache_dir else None,
-        )
+        self.stats = EngineStats(cache_dir=str(cache_dir) if cache_dir else None)
         # The default-config simulator, eagerly built for back-compat
         # (callers that read ``engine.simulator`` directly).
         self.simulator = self.simulator_for(self.config)
@@ -209,8 +200,7 @@ class SimulationEngine:
         simulator = self._simulators.get(fingerprint)
         if simulator is None:
             simulator = LayerSimulator(
-                config, max_groups=max_groups, max_batch=max_batch,
-                backend=self.backend,
+                config, max_groups=max_groups, max_batch=max_batch
             )
             self._simulators[fingerprint] = simulator
         return simulator, fingerprint
@@ -300,35 +290,30 @@ class SimulationEngine:
         ``config`` / ``max_groups`` / ``max_batch`` default to the
         engine's construction-time values; passing them lets one engine
         serve many accelerator configurations (each gets its own
-        simulator and cache namespace, all sharing the backend, memo and
-        counters).
+        simulator and cache namespace, all sharing the memo and counters).
 
         Cache hits are loaded; misses are batched into one
-        ``backend.simulate_layers`` call (so the vectorized backend fuses
-        only the layers that actually need simulating), stored, and merged
-        back in trace order.
+        ``LayerSimulator.simulate_layers`` call (so only the layers that
+        actually need simulating are fused), stored, and merged back in
+        trace order.
         """
         work = traced_layers(traces)
         simulator, config_fp = self._resolve(config, max_groups, max_batch)
         tracer = get_tracer()
         if self.cache is None and self._memo is None:
             with tracer.span(
-                "engine.simulate_layers",
-                backend=self.backend.name, layers=len(work),
+                "engine.simulate_layers", backend=ENGINE_LABEL, layers=len(work)
             ):
-                results = self.backend.simulate_layers(simulator, work)
+                results = simulator.simulate_layers(work)
             self.stats.layers_simulated += len(results)
             if results:
-                _metrics.LAYERS_SIMULATED.inc(
-                    len(results), backend=self.backend.name
-                )
+                _metrics.LAYERS_SIMULATED.inc(len(results), backend=ENGINE_LABEL)
             return results
 
         slots: List[Optional[LayerResult]] = [None] * len(work)
         misses: List[int] = []
         keys: List[str] = [
-            layer_key(config_fp, trace_fingerprint(trace), self.backend.name)
-            for trace in work
+            layer_key(config_fp, trace_fingerprint(trace)) for trace in work
         ]
         tiers_before = (self.stats.memo_hits, self.stats.disk_hits)
         with tracer.span("engine.cache_lookup", layers=len(work)) as span:
@@ -353,17 +338,12 @@ class SimulationEngine:
         if misses:
             _metrics.CACHE_MISSES.inc(len(misses))
             with tracer.span(
-                "engine.simulate_layers",
-                backend=self.backend.name, layers=len(misses),
+                "engine.simulate_layers", backend=ENGINE_LABEL, layers=len(misses)
             ):
-                fresh = self.backend.simulate_layers(
-                    simulator, [work[i] for i in misses]
-                )
+                fresh = simulator.simulate_layers([work[i] for i in misses])
             self.stats.layers_simulated += len(fresh)
             if fresh:
-                _metrics.LAYERS_SIMULATED.inc(
-                    len(fresh), backend=self.backend.name
-                )
+                _metrics.LAYERS_SIMULATED.inc(len(fresh), backend=ENGINE_LABEL)
             for index, result in zip(misses, fresh):
                 self._store(keys[index], result)
                 slots[index] = result

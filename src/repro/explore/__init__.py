@@ -12,9 +12,9 @@ one-knob-at-a-time sweeps into declarative *studies*:
     per-point content hashes.
 
 :class:`~repro.explore.runner.StudyRunner`
-    Executes a spec through the pluggable
-    :class:`~repro.engine.SimulationEngine` (same backend / cache flags
-    as every other entry point), records speedup, energy
+    Executes a spec through the
+    :class:`~repro.engine.SimulationEngine` (same cache flags as every
+    other entry point), records speedup, energy
     efficiency and area overhead per point, and checkpoints a resumable
     manifest so an interrupted study continues where it left off with
     zero re-simulation.

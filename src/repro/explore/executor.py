@@ -53,17 +53,11 @@ def _init_study_worker(payload=None) -> None:
     tracing.configure(None)
     spec = _STUDY_PAYLOAD["spec"]
     engine = SimulationEngine(
-        backend=_STUDY_PAYLOAD["backend"],
         cache_dir=_STUDY_PAYLOAD["cache_dir"],
         max_groups=spec.max_groups,
         memory_cache=True,
     )
-    runner = StudyRunner(
-        spec,
-        backend=_STUDY_PAYLOAD["backend"],
-        cache_dir=_STUDY_PAYLOAD["cache_dir"],
-        engine=engine,
-    )
+    runner = StudyRunner(spec, cache_dir=_STUDY_PAYLOAD["cache_dir"], engine=engine)
     # Prefill the scenario-trace memo: workers must never train.
     runner._scenario_traces.update(_STUDY_PAYLOAD["traces"])
     _STUDY_RUNNER = runner
@@ -150,7 +144,6 @@ class StudyExecutor:
         runner = self.runner
         payload = {
             "spec": runner.spec,
-            "backend": runner.backend,
             "cache_dir": runner.cache_dir,
             "traces": dict(runner._scenario_traces),
             "units": units,

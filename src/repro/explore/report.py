@@ -3,7 +3,7 @@
 One study, three renderings.  :func:`format_study_report` is the
 human-readable view the CLI prints (all points with the frontier marked,
 the frontier on its own, the per-objective winners, and the engine's
-cache/backend counters).  :func:`study_to_json` is the machine-readable
+cache counters).  :func:`study_to_json` is the machine-readable
 document benchmarks and downstream tooling consume, and
 :func:`study_to_csv` is the spreadsheet-friendly flat table.
 """

@@ -7,7 +7,7 @@ and dispatches every design point through the same
 uses — including the content-addressed result cache, so warm points cost
 zero re-simulation.  Points sharing an accelerator configuration are
 batched into one engine pass (:meth:`ExperimentRunner.run_batch`), which
-lets the vectorized backend fuse layers across workloads.
+fuses layers across workloads into shared scheduling batches.
 
 Studies are resumable: with a ``study_dir`` the runner appends one
 fsync'd JSONL record per completed point to a manifest *segment*
@@ -138,13 +138,13 @@ class StudyRunner:
         Directory for the study manifest and (by default) the engine's
         result cache.  ``None`` runs fully in memory with no
         checkpointing — fine for small sweeps, required for ``resume``.
-    backend / cache_dir:
-        Engine flags, identical to every other entry point.  With a
+    cache_dir:
+        Engine flag, identical to every other entry point.  With a
         ``study_dir`` and no explicit ``cache_dir`` the cache lands in
         ``<study_dir>/cache`` so resumed studies get layer-level hits.
     engine:
         An existing :class:`~repro.engine.SimulationEngine` to run every
-        point through (backend/cache args then only label reports).
+        point through (``cache_dir`` then only labels reports).
         This is how :class:`repro.api.Session` makes studies share its
         warm cache.
     study_jobs:
@@ -160,7 +160,6 @@ class StudyRunner:
         self,
         spec: StudySpec,
         study_dir: Optional[Union[str, Path]] = None,
-        backend: str = "vectorized",
         cache_dir: Optional[Union[str, Path]] = None,
         engine=None,
         study_jobs: Optional[int] = None,
@@ -170,7 +169,6 @@ class StudyRunner:
             raise ValueError(f"study_jobs must be >= 1, got {study_jobs}")
         self.spec = spec
         self.study_dir = Path(study_dir) if study_dir else None
-        self.backend = backend
         self.engine = engine
         self.study_jobs = study_jobs or 1
         self._trace_fn = trace_fn
@@ -390,7 +388,6 @@ class StudyRunner:
                 config,
                 max_groups=self.spec.max_groups,
                 max_batch=self._max_batch(),
-                backend=self.backend,
                 cache_dir=self.cache_dir,
                 engine=self.engine,
             )
@@ -660,7 +657,7 @@ class StudyRunner:
         parallel totals match what one engine doing all the work would
         have counted.
         """
-        totals = EngineStats(backend=self.backend, cache_dir=self.cache_dir)
+        totals = EngineStats(cache_dir=self.cache_dir)
         seen = set()
         for runner in self._runners.values():
             if id(runner.engine) in seen:
@@ -679,7 +676,6 @@ def run_study(
     spec: StudySpec,
     study_dir: Optional[Union[str, Path]] = None,
     resume: bool = False,
-    backend: str = "vectorized",
     cache_dir: Optional[Union[str, Path]] = None,
     study_jobs: Optional[int] = None,
     progress: Optional[Callable[[str], None]] = None,
@@ -688,7 +684,6 @@ def run_study(
     runner = StudyRunner(
         spec,
         study_dir=study_dir,
-        backend=backend,
         cache_dir=cache_dir,
         study_jobs=study_jobs,
     )

@@ -6,7 +6,7 @@ simulated devices — ``"data"`` (batch sharding plus a weight-gradient
 ring all-reduce) or ``"pipeline"`` (contiguous MAC-balanced layer
 stages exchanging boundary activations/gradients) — each shard is
 simulated through the ordinary :class:`~repro.engine.SimulationEngine`
-(so caching and backend choice apply per device), communication is
+(so caching applies per device), communication is
 priced by a bandwidth/latency :class:`Interconnect` model reusing the
 memory hierarchy's bytes-per-cycle machinery, and everything rolls up
 into a :class:`ScalingReport` (per-device cycles, communication stalls,

@@ -11,8 +11,8 @@ across N accelerator instances?*  It
    stages);
 3. simulates every device's shard through the same
    :class:`~repro.engine.SimulationEngine` as everything else in the
-   repository — so backends, the on-disk result cache and the session
-   memo all apply per shard, and a ``num_devices=1`` run re-uses the
+   repository — so the on-disk result cache and the session memo both
+   apply per shard, and a ``num_devices=1`` run re-uses the
    reference simulation's cache entries outright;
 4. prices the partition's communication pattern with the
    :class:`~repro.scale.Interconnect` model (weight-gradient ring
@@ -43,10 +43,9 @@ exactly the single-device cycle count, bit-for-bit — the parity contract
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Union
+from typing import Callable, List, Optional
 
 from repro.core.config import AcceleratorConfig
-from repro.engine.backend import SimulationBackend
 from repro.engine.engine import SimulationEngine
 from repro.scale.interconnect import Interconnect
 from repro.scale.partition import (
@@ -75,8 +74,8 @@ class ScaleRunner:
         omitted, the runner builds its own engine with the in-process
         memo enabled, so the per-shard passes never re-simulate layers
         the reference pass already covered.
-    backend / cache_dir:
-        Engine knobs for the self-built engine; ignored when ``engine``
+    cache_dir:
+        Engine knob for the self-built engine; ignored when ``engine``
         is given.
     max_groups / max_batch:
         Stream-sampling parameters, forwarded per call so shard
@@ -88,7 +87,6 @@ class ScaleRunner:
         self,
         config: Optional[AcceleratorConfig] = None,
         engine: Optional[SimulationEngine] = None,
-        backend: Union[str, SimulationBackend, None] = "vectorized",
         cache_dir: Optional[str] = None,
         max_groups: Optional[int] = 64,
         max_batch: Optional[int] = 4,
@@ -97,7 +95,6 @@ class ScaleRunner:
         if engine is None:
             engine = SimulationEngine(
                 self.config,
-                backend=backend,
                 cache_dir=cache_dir,
                 max_groups=max_groups,
                 max_batch=max_batch,

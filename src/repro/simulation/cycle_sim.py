@@ -5,24 +5,24 @@ plus convolution hyper-parameters) into operand streams, runs them through
 the accelerator model and returns baseline / TensorDash cycle counts, MAC
 counts and memory traffic for each of the paper's three operations.
 
-Execution is delegated to a pluggable :mod:`repro.engine` backend:
-
-* ``"reference"`` — the readable per-PE-row Python loop (the bit-exact
-  oracle the fast path is property-tested against);
-* ``"vectorized"`` (default) — schedules whole staging-window batches at
-  once through the bit-packed :class:`~repro.core.scheduler.BatchScheduler`
-  kernel (staging windows wider than 64 bits run on the oracle).
-
-Both backends produce bit-identical cycle counts, MAC counts and traffic,
-so backend choice is purely a wall-clock decision.  For cross-run reuse,
+There is one execution path.  :meth:`LayerSimulator.simulate_layers`
+fuses the work groups of every layer and operation into shared ragged
+batches of the bit-packed :class:`~repro.core.scheduler.BatchScheduler`
+kernel (staging windows wider than 64 bits run on the per-cycle oracle).
+:meth:`LayerSimulator.simulate_layer` runs one layer on its own and, with
+``oracle=True``, through the oracle loop
+(:meth:`~repro.core.scheduler.HardwareScheduler.lockstep_schedules`) —
+the readable reference the fused path is tested and benchmarked against.
+The scheduler decides only from operand zero patterns, so both give
+bit-identical cycle counts, MAC counts and traffic.  For cross-run reuse,
 wrap the simulator in a :class:`repro.engine.SimulationEngine` with a
 ``cache_dir`` — results are then cached on disk keyed by (config hash,
-trace hash, backend) and invalidated structurally whenever any of those
-inputs change (the memory-hierarchy parameters are part of the config
-hash, so differing hierarchies can never collide in the cache).
+trace hash) and invalidated structurally whenever either input changes
+(the memory-hierarchy parameters are part of the config hash, so
+differing hierarchies can never collide in the cache).
 
-Memory awareness: after a backend returns an operation's compute cycles,
-the simulator consults ``config.hierarchy``
+Memory awareness: after the scheduler returns an operation's compute
+cycles, the simulator consults ``config.hierarchy``
 (:class:`repro.memory.hierarchy.MemoryHierarchy`) with the operation's
 byte counts and records the bandwidth-constrained totals —
 ``max(compute_cycles, ceil(bytes / bytes_per_cycle))`` per level — plus
@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -44,6 +44,16 @@ from repro.core.config import AcceleratorConfig
 from repro.memory.traffic import MemoryTraffic, TrafficCounter
 from repro.simulation.streams import OperandStreams, StreamExtractor
 from repro.training.tracing import LayerTrace
+
+
+def traced_layers(traces: Sequence[LayerTrace]) -> List[LayerTrace]:
+    """The subset of ``traces`` that carries operand masks to simulate.
+
+    The single definition of the skip rule shared by the simulator and by
+    the engine's cache partitioning, so they can never disagree on which
+    layers are simulated.
+    """
+    return [t for t in traces if t.activation_mask is not None]
 
 
 class OperationKind(str, Enum):
@@ -117,19 +127,11 @@ class LayerSimulator:
         config: Optional[AcceleratorConfig] = None,
         max_groups: Optional[int] = 256,
         max_batch: Optional[int] = 4,
-        backend="vectorized",
     ):
         self.config = config or AcceleratorConfig()
         self.accelerator = Accelerator(self.config)
         self.max_groups = max_groups
         self.max_batch = max_batch
-        # Resolved lazily so repro.simulation does not import repro.engine
-        # at module load time (the engine orchestrates *over* this module).
-        if isinstance(backend, str) or backend is None:
-            from repro.engine.backend import get_backend
-
-            backend = get_backend(backend)
-        self.backend = backend
         self.extractor = StreamExtractor(
             tile_rows=self.config.tile.rows,
             lanes=self.config.pe.lanes,
@@ -146,9 +148,9 @@ class LayerSimulator:
     def streams_for_trace(self, trace: LayerTrace) -> Dict[str, OperandStreams]:
         """Operand streams per traced operation (empty if nothing traced).
 
-        Public so the batching backend can extract every layer's streams
-        up front, fuse them into large scheduling batches, and then hand the raw per-operation results
-        back to :meth:`finalize_layer`.
+        :meth:`simulate_layers` extracts every layer's streams up front,
+        fuses them into large scheduling batches, and then hands the raw
+        per-operation results back to :meth:`finalize_layer`.
         """
         if trace.activation_mask is None:
             return {}
@@ -252,12 +254,18 @@ class LayerSimulator:
             )
         return result
 
-    def simulate_layer(self, trace: LayerTrace) -> LayerResult:
-        """Simulate all traced operations of one layer."""
+    def simulate_layer(self, trace: LayerTrace, oracle: bool = False) -> LayerResult:
+        """Simulate all traced operations of one layer on its own.
+
+        ``oracle=True`` counts cycles with the per-cycle oracle loop
+        instead of the packed kernel (see
+        :meth:`repro.core.accelerator.Accelerator.run_operation`): the
+        reference :meth:`simulate_layers` is checked against.
+        """
         streams = self.streams_for_trace(trace)
         op_results = {
-            operation: self.backend.run_operation(
-                self.accelerator, operation, operand_streams.groups
+            operation: self.accelerator.run_operation(
+                operation, operand_streams.groups, oracle=oracle
             )
             for operation, operand_streams in streams.items()
         }
@@ -267,10 +275,36 @@ class LayerSimulator:
         }
         return self.finalize_layer(trace, op_results, factors)
 
-    def simulate_layers(self, traces: List[LayerTrace]) -> List[LayerResult]:
+    def simulate_layers(self, traces: Sequence[LayerTrace]) -> List[LayerResult]:
         """Simulate every traced layer; layers without masks are skipped.
 
-        Delegates to the backend so the batching backend (``vectorized``)
-        can fuse the work; results always come back in trace order.
+        Stream extraction runs per layer, but the extracted work groups of
+        *all* layers and operations are handed to
+        :meth:`repro.core.accelerator.Accelerator.run_operations_batched`
+        in one go, so the per-cycle scheduling cost is amortised across
+        the whole trace rather than per operation.  Sampling scaling and
+        the memory-hierarchy constraint still run per layer in
+        :meth:`finalize_layer`, keeping results bit-identical to
+        :meth:`simulate_layer`.  Results come back in trace order.
         """
-        return self.backend.simulate_layers(self, traces)
+        layers = traced_layers(traces)
+        layer_streams = [self.streams_for_trace(trace) for trace in layers]
+        units = [
+            (index, operation, operand_streams)
+            for index, streams in enumerate(layer_streams)
+            for operation, operand_streams in streams.items()
+        ]
+        op_results = self.accelerator.run_operations_batched(
+            [(operation, s.groups) for _, operation, s in units]
+        )
+        per_layer: List[Dict[str, OperationResult]] = [{} for _ in layers]
+        for (index, operation, _), op_result in zip(units, op_results):
+            per_layer[index][operation] = op_result
+        return [
+            self.finalize_layer(
+                trace,
+                per_layer[index],
+                {op: s.sampling_factor for op, s in layer_streams[index].items()},
+            )
+            for index, trace in enumerate(layers)
+        ]

@@ -339,10 +339,10 @@ REQUEST_SECONDS = _DEFAULT_REGISTRY.histogram(
     buckets=LATENCY_BUCKETS,
     labels=("kind",),
 )
-#: Layers actually simulated (cache misses that ran), by backend.
+#: Layers actually simulated (cache misses that ran), by engine label.
 LAYERS_SIMULATED = _DEFAULT_REGISTRY.counter(
     "repro_layers_simulated_total",
-    "Traced layers simulated by an execution backend (cache misses).",
+    "Traced layers simulated by the engine (cache misses).",
     labels=("backend",),
 )
 #: Cache hits attributed to the tier that served them.

@@ -17,6 +17,7 @@ from repro.analysis.roofline import (
 )
 from repro.core.config import AcceleratorConfig
 from repro.models.registry import trace_workload
+from repro.simulation.cycle_sim import LayerSimulator, traced_layers
 from repro.simulation.runner import ExperimentRunner
 from repro.simulation.speedup import bandwidth_bound_speedup
 
@@ -28,8 +29,8 @@ def snli_trace():
     )
 
 
-def run(config, trace, **kwargs):
-    runner = ExperimentRunner(config, max_groups=16, **kwargs)
+def run(config, trace):
+    runner = ExperimentRunner(config, max_groups=16)
     return runner.run_final_epoch(trace)
 
 
@@ -102,15 +103,20 @@ class TestRooflineReportFromModel:
             assert point.achieved_macs_per_cycle <= attainable * (1 + 1e-9)
 
     def test_backends_identical_under_finite_hierarchy(self, snli_trace):
+        """The fused path matches the per-layer oracle under finite memory."""
         config = AcceleratorConfig().with_hierarchy(
             dram_bandwidth_gbps=2.0, sram_kb=64
         )
-        reference = run(config, snli_trace, backend="reference")
-        vectorized = run(config, snli_trace, backend="vectorized")
-        assert [r.layer_name for r in reference.layer_results] == [
-            r.layer_name for r in vectorized.layer_results
+        fused = run(config, snli_trace)
+        simulator = LayerSimulator(config, max_groups=16)
+        reference = [
+            simulator.simulate_layer(trace, oracle=True)
+            for trace in traced_layers(snli_trace.final_epoch().layers)
         ]
-        for ref, vec in zip(reference.layer_results, vectorized.layer_results):
+        assert [r.layer_name for r in reference] == [
+            r.layer_name for r in fused.layer_results
+        ]
+        for ref, vec in zip(reference, fused.layer_results):
             assert ref.operations == vec.operations
             assert ref.traffic == vec.traffic
 

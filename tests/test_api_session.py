@@ -13,34 +13,31 @@ FAST = dict(epochs=1, batches_per_epoch=1, batch_size=4, max_groups=8)
 class TestEngineOptionResolution:
     def test_defaults(self):
         options = resolve_engine_options(environ={})
-        assert options.backend == "vectorized"
         assert options.cache_dir is None
+        assert options.telemetry_dir is None
+        assert options.study_jobs is None
 
     def test_env_vars_fill_unset_arguments(self):
         options = resolve_engine_options(environ={
-            "REPRO_BACKEND": "reference",
             "REPRO_CACHE_DIR": "/tmp/somewhere",
+            "REPRO_TELEMETRY_DIR": "/tmp/telemetry",
         })
-        assert options.backend == "reference"
         assert options.cache_dir == "/tmp/somewhere"
+        assert options.telemetry_dir == "/tmp/telemetry"
 
     def test_explicit_arguments_beat_env_vars(self):
         options = resolve_engine_options(
-            backend="vectorized", cache_dir="/tmp/explicit",
-            environ={"REPRO_BACKEND": "reference",
-                     "REPRO_CACHE_DIR": "/tmp/env"},
+            cache_dir="/tmp/explicit", telemetry_dir="/tmp/explicit-tele",
+            environ={"REPRO_CACHE_DIR": "/tmp/env",
+                     "REPRO_TELEMETRY_DIR": "/tmp/env-tele"},
         )
-        assert options.backend == "vectorized"
         assert options.cache_dir == "/tmp/explicit"
+        assert options.telemetry_dir == "/tmp/explicit-tele"
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            resolve_engine_options(environ={"REPRO_BACKEND": "quantum"})
-
-    def test_session_resolves_through_the_same_helper(self):
-        session = Session(environ={"REPRO_BACKEND": "reference"})
-        assert session.options.backend == "reference"
-        assert session.engine.stats.backend == "reference"
+    def test_session_resolves_through_the_same_helper(self, tmp_path):
+        session = Session(environ={"REPRO_CACHE_DIR": str(tmp_path)})
+        assert session.options.cache_dir == str(tmp_path)
+        assert session.engine.stats.cache_dir == str(tmp_path)
 
 
 class TestSessionCaching:
@@ -196,3 +193,10 @@ class TestSubmit:
     def test_envelope_reports_elapsed_time(self):
         result = Session().simulate("snli", **FAST)
         assert result.elapsed_seconds > 0
+
+    def test_potentials_are_plain_floats(self):
+        """No ``np.float64`` leaks into the result, like the speedups."""
+        result = Session().simulate("snli", **FAST).result
+        assert set(result.potentials) == {"AxW", "AxG", "WxG", "Total"}
+        assert all(type(v) is float for v in result.potentials.values())
+        assert all(type(v) is float for v in result.speedups.values())

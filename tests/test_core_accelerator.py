@@ -2,8 +2,8 @@
 
 The accelerator counts cycles with the bit-packed kernel; every check
 here compares it against the per-cycle oracle (the functional tile model,
-:meth:`HardwareScheduler.group_cycles` or the ``reference`` backend), never
-against another fast path.
+:meth:`HardwareScheduler.group_cycles` or ``run_operation(..., oracle=True)``),
+never against another fast path.
 """
 
 import numpy as np
@@ -13,7 +13,6 @@ from repro.core.accelerator import Accelerator
 from repro.core.scheduler import pack_stream_rows
 from repro.core.config import AcceleratorConfig, PEConfig, TileConfig
 from repro.core.tile import TensorDashTile
-from repro.engine import ReferenceBackend
 from tests.test_engine_backends import random_groups
 
 
@@ -130,7 +129,7 @@ class TestConfigPlumbing:
 
 
 def reference_result(accelerator, name, groups):
-    return ReferenceBackend().run_operation(accelerator, name, groups)
+    return accelerator.run_operation(name, groups, oracle=True)
 
 
 class TestRaggedBatchedKernels:

@@ -1,12 +1,13 @@
-"""Backend equivalence and result-cache tests for the simulation engine.
+"""Oracle equivalence and result-cache tests for the simulation engine.
 
-The engine's core guarantee is that backend choice is purely a wall-clock
-decision: ``vectorized`` must be bit-identical to the ``reference``
-oracle — same cycle counts, same MAC counts, same traffic —
+The engine's core guarantee is that its one fused execution path
+(``LayerSimulator.simulate_layers`` over the packed kernel) is
+bit-identical to the per-cycle oracle (``simulate_layer(...,
+oracle=True)``) — same cycle counts, same MAC counts, same traffic —
 across sparsity levels and layer shapes.  These tests enforce that at the
 operation level (random row groups) and at the system level (traced
 layers through the full ``SimulationEngine``), and cover the on-disk
-cache's hit/miss/invalidation semantics.
+cache's hit/miss/invalidation semantics and its pinned key format.
 """
 
 import numpy as np
@@ -16,16 +17,13 @@ from repro.core.accelerator import Accelerator
 from repro.core.config import AcceleratorConfig
 from repro.core.tile import TensorDashTile
 from repro.engine import (
-    ReferenceBackend,
     ResultCache,
     SimulationEngine,
-    VectorizedBackend,
-    available_backends,
     config_fingerprint,
-    get_backend,
     layer_key,
     trace_fingerprint,
 )
+from repro.simulation.cycle_sim import LayerSimulator, traced_layers
 from repro.training.tracing import LayerTrace
 
 
@@ -52,6 +50,15 @@ def make_conv_trace(rng, name="conv0", channels=6, size=10, batch=2,
     )
 
 
+def oracle_layers(traces, config=None, max_groups=16, max_batch=4):
+    """The reference: every traced layer alone through the oracle loop."""
+    simulator = LayerSimulator(config, max_groups=max_groups, max_batch=max_batch)
+    return [
+        simulator.simulate_layer(trace, oracle=True)
+        for trace in traced_layers(traces)
+    ]
+
+
 def assert_results_identical(lhs, rhs):
     assert [r.layer_name for r in lhs] == [r.layer_name for r in rhs]
     for a, b in zip(lhs, rhs):
@@ -59,21 +66,6 @@ def assert_results_identical(lhs, rhs):
         for op in a.operations:
             assert a.operations[op] == b.operations[op], (a.layer_name, op)
         assert a.traffic == b.traffic
-
-
-class TestBackendRegistry:
-    def test_both_backends_registered(self):
-        assert available_backends() == ["reference", "vectorized"]
-
-    def test_get_backend_resolves_names_and_instances(self):
-        assert isinstance(get_backend("reference"), ReferenceBackend)
-        assert isinstance(get_backend(None), VectorizedBackend)
-        instance = VectorizedBackend()
-        assert get_backend(instance) is instance
-
-    def test_unknown_backend_raises(self):
-        with pytest.raises(KeyError):
-            get_backend("quantum")
 
 
 class TestOperationEquivalence:
@@ -84,8 +76,8 @@ class TestOperationEquivalence:
         rng = np.random.default_rng(int(sparsity * 10))
         acc = Accelerator()
         groups = random_groups(rng, 6, 4, 33, sparsity=sparsity)
-        ref = ReferenceBackend().run_operation(acc, "AxW", groups)
-        vec = VectorizedBackend().run_operation(acc, "AxW", groups)
+        ref = acc.run_operation("AxW", groups, oracle=True)
+        vec = acc.run_operation("AxW", groups)
         assert ref == vec
 
     @pytest.mark.parametrize("seed", range(5))
@@ -101,16 +93,16 @@ class TestOperationEquivalence:
         acc = Accelerator(config)
         groups = random_groups(rng, num_groups, tile_rows, stream_rows,
                                sparsity=sparsity)
-        ref = ReferenceBackend().run_operation(acc, "WxG", groups)
-        vec = VectorizedBackend().run_operation(acc, "WxG", groups)
+        ref = acc.run_operation("WxG", groups, oracle=True)
+        vec = acc.run_operation("WxG", groups)
         assert ref == vec
 
     def test_power_gated_baseline_identical(self):
         rng = np.random.default_rng(7)
         acc = Accelerator(AcceleratorConfig(power_gated=True))
         groups = random_groups(rng, 4, 4, 20, sparsity=0.5)
-        ref = ReferenceBackend().run_operation(acc, "AxG", groups)
-        vec = VectorizedBackend().run_operation(acc, "AxG", groups)
+        ref = acc.run_operation("AxG", groups, oracle=True)
+        vec = acc.run_operation("AxG", groups)
         assert ref == vec
         assert ref.tensordash_cycles == ref.baseline_cycles
 
@@ -143,7 +135,7 @@ class TestTileFastPath:
 
 
 class TestSystemEquivalence:
-    """Traced layers through the full engine, both backends."""
+    """Traced layers through the full engine against the oracle."""
 
     @pytest.fixture(scope="class")
     def traces(self):
@@ -156,11 +148,10 @@ class TestSystemEquivalence:
 
     @pytest.fixture(scope="class")
     def reference_results(self, traces):
-        engine = SimulationEngine(backend="reference", max_groups=16)
-        return engine.simulate_layers(traces)
+        return oracle_layers(traces)
 
     def test_vectorized_bit_identical(self, traces, reference_results):
-        engine = SimulationEngine(backend="vectorized", max_groups=16)
+        engine = SimulationEngine(max_groups=16)
         assert_results_identical(engine.simulate_layers(traces),
                                  reference_results)
 
@@ -168,34 +159,26 @@ class TestSystemEquivalence:
         """Windows over 64 bits (depth 5 x 16 lanes) fall back, identically."""
         config = AcceleratorConfig().with_pe(staging_depth=5)
         assert not Accelerator(config).batch_scheduler.packable
-        reference = SimulationEngine(
-            config, backend="reference", max_groups=4
-        ).simulate_layers(traces)
-        vectorized = SimulationEngine(
-            config, backend="vectorized", max_groups=4
-        ).simulate_layers(traces)
-        assert_results_identical(vectorized, reference)
+        reference = oracle_layers(traces, config, max_groups=4)
+        fused = SimulationEngine(config, max_groups=4).simulate_layers(traces)
+        assert_results_identical(fused, reference)
 
     def test_all_backends_identical_under_finite_hierarchy(self, traces):
-        """Memory-aware results are backend-invariant too (incl. stalls)."""
+        """Memory-aware results match the oracle too (incl. stalls)."""
         config = AcceleratorConfig().with_hierarchy(
             dram_bandwidth_gbps=4.0, sram_kb=128
         )
-        reference = SimulationEngine(
-            config, backend="reference", max_groups=16
-        ).simulate_layers(traces)
+        reference = oracle_layers(traces, config)
         assert any(
             op.memory_bound
             for result in reference
             for op in result.operations.values()
         )
-        results = SimulationEngine(
-            config, backend="vectorized", max_groups=16
-        ).simulate_layers(traces)
+        results = SimulationEngine(config, max_groups=16).simulate_layers(traces)
         assert_results_identical(results, reference)
 
     def test_refill_clamp_equivalence_deep_staging(self):
-        """staging depth > scratchpad banks: the clamp binds, backends agree."""
+        """staging depth > scratchpad banks: the clamp binds, oracle agrees."""
         rng = np.random.default_rng(11)
         config = AcceleratorConfig().with_pe(staging_depth=4).with_hierarchy(
             dram_bandwidth_gbps=51.2
@@ -205,26 +188,25 @@ class TestSystemEquivalence:
         # highly sparse streams regularly drain all 4 staging rows at once
         # and hit the 3-bank refill ceiling.
         groups = random_groups(rng, 8, 1, 40, sparsity=0.97)
-        ref = ReferenceBackend().run_operation(acc, "AxW", groups)
-        vec = VectorizedBackend().run_operation(acc, "AxW", groups)
+        ref = acc.run_operation("AxW", groups, oracle=True)
+        vec = acc.run_operation("AxW", groups)
         assert ref == vec
-        unclamped = VectorizedBackend().run_operation(
-            Accelerator(AcceleratorConfig().with_pe(staging_depth=4)),
-            "AxW", groups,
-        )
+        unclamped = Accelerator(
+            AcceleratorConfig().with_pe(staging_depth=4)
+        ).run_operation("AxW", groups)
         assert vec.tensordash_cycles > unclamped.tensordash_cycles
 
     def test_layers_without_masks_are_skipped(self, traces):
-        engine = SimulationEngine(backend="vectorized", max_groups=16)
+        engine = SimulationEngine(max_groups=16)
         bare = LayerTrace(layer_name="untraced", layer_type="conv")
         results = engine.simulate_layers([bare] + list(traces))
         assert [r.layer_name for r in results] == [t.layer_name for t in traces]
 
     def test_stats_count_simulated_layers(self, traces):
-        engine = SimulationEngine(backend="vectorized", max_groups=16)
+        engine = SimulationEngine(max_groups=16)
         engine.simulate_layers(traces)
         assert engine.stats.layers_simulated == len(traces)
-        assert engine.stats.backend == "vectorized"
+        assert engine.stats.as_dict()["backend"] == "vectorized"
         assert engine.stats.as_dict()["hit_rate"] == 0.0
 
 
@@ -235,14 +217,12 @@ class TestResultCache:
         return [make_conv_trace(rng, f"conv{i}", sparsity=0.5) for i in range(3)]
 
     def test_second_run_is_all_hits_and_bit_identical(self, traces, tmp_path):
-        first = SimulationEngine(backend="vectorized", cache_dir=tmp_path,
-                                 max_groups=16)
+        first = SimulationEngine(cache_dir=tmp_path, max_groups=16)
         results_first = first.simulate_layers(traces)
         assert first.stats.cache_misses == len(traces)
         assert first.stats.layers_simulated == len(traces)
 
-        second = SimulationEngine(backend="vectorized", cache_dir=tmp_path,
-                                  max_groups=16)
+        second = SimulationEngine(cache_dir=tmp_path, max_groups=16)
         results_second = second.simulate_layers(traces)
         assert second.stats.cache_hits == len(traces)
         assert second.stats.cache_misses == 0
@@ -251,11 +231,10 @@ class TestResultCache:
         assert_results_identical(results_first, results_second)
 
     def test_config_change_invalidates(self, traces, tmp_path):
-        SimulationEngine(backend="vectorized", cache_dir=tmp_path,
-                         max_groups=16).simulate_layers(traces)
+        SimulationEngine(cache_dir=tmp_path, max_groups=16).simulate_layers(traces)
         other = SimulationEngine(
             AcceleratorConfig().with_pe(staging_depth=2),
-            backend="vectorized", cache_dir=tmp_path, max_groups=16,
+            cache_dir=tmp_path, max_groups=16,
         )
         other.simulate_layers(traces)
         assert other.stats.cache_hits == 0
@@ -263,11 +242,10 @@ class TestResultCache:
 
     def test_hierarchy_change_invalidates(self, traces, tmp_path):
         """Results from differing memory hierarchies must never collide."""
-        SimulationEngine(backend="vectorized", cache_dir=tmp_path,
-                         max_groups=16).simulate_layers(traces)
+        SimulationEngine(cache_dir=tmp_path, max_groups=16).simulate_layers(traces)
         bounded = SimulationEngine(
             AcceleratorConfig().with_hierarchy(dram_bandwidth_gbps=4.0),
-            backend="vectorized", cache_dir=tmp_path, max_groups=16,
+            cache_dir=tmp_path, max_groups=16,
         )
         bounded.simulate_layers(traces)
         assert bounded.stats.cache_hits == 0
@@ -275,7 +253,7 @@ class TestResultCache:
         # A different bandwidth is again a different key...
         other = SimulationEngine(
             AcceleratorConfig().with_hierarchy(dram_bandwidth_gbps=8.0),
-            backend="vectorized", cache_dir=tmp_path, max_groups=16,
+            cache_dir=tmp_path, max_groups=16,
         )
         other.simulate_layers(traces)
         assert other.stats.cache_hits == 0
@@ -283,13 +261,13 @@ class TestResultCache:
         # the stall/bound fields surviving the round trip.
         again = SimulationEngine(
             AcceleratorConfig().with_hierarchy(dram_bandwidth_gbps=4.0),
-            backend="vectorized", cache_dir=tmp_path, max_groups=16,
+            cache_dir=tmp_path, max_groups=16,
         )
         cached = again.simulate_layers(traces)
         assert again.stats.cache_hits == len(traces)
         fresh = SimulationEngine(
             AcceleratorConfig().with_hierarchy(dram_bandwidth_gbps=4.0),
-            backend="vectorized", max_groups=16,
+            max_groups=16,
         ).simulate_layers(traces)
         assert_results_identical(cached, fresh)
         assert any(
@@ -298,32 +276,44 @@ class TestResultCache:
             for op in result.operations.values()
         )
 
-    def test_backend_is_part_of_the_key(self, traces, tmp_path):
-        SimulationEngine(backend="vectorized", cache_dir=tmp_path,
-                         max_groups=16).simulate_layers(traces)
-        ref = SimulationEngine(backend="reference", cache_dir=tmp_path,
-                               max_groups=16)
-        ref.simulate_layers(traces)
-        assert ref.stats.cache_hits == 0
+    def test_layer_key_is_pinned(self):
+        """Keys are byte-identical to those existing cache dirs were written
+        with; a change here silently orphans every user's cache."""
+        config_fp = config_fingerprint(AcceleratorConfig(), 16, 4)
+        index = np.arange(2 * 3 * 4 * 4).reshape(2, 3, 4, 4)
+        trace = LayerTrace(
+            layer_name="conv", layer_type="conv", kernel=3, stride=1, padding=1,
+            weight_mask=np.arange(2 * 3 * 3 * 3).reshape(2, 3, 3, 3) % 4 != 0,
+            activation_mask=index % 3 != 0,
+            output_gradient_mask=index % 5 != 0,
+            macs=864,
+        )
+        trace_fp = trace_fingerprint(trace)
+        assert config_fp == (
+            "250e2a8e0d80a7cdd5cb9c5c8ca158e0594720e76da11717a5469e0b5684290c"
+        )
+        assert trace_fp == (
+            "e1a6f77951d15caf6498589de8ec098bd3f5d1bfd10685be7b367bb98f177853"
+        )
+        assert layer_key(config_fp, trace_fp) == (
+            "52c3d3fb879ba95d942cbd0f98ce9ac557b727b7cc10926ae6cb256abc5008ee"
+        )
 
     def test_trace_change_invalidates(self, tmp_path):
         rng = np.random.default_rng(9)
         trace_a = make_conv_trace(rng, "conv", sparsity=0.5)
         trace_b = make_conv_trace(rng, "conv", sparsity=0.5)  # new random masks
-        engine = SimulationEngine(backend="vectorized", cache_dir=tmp_path,
-                                  max_groups=16)
+        engine = SimulationEngine(cache_dir=tmp_path, max_groups=16)
         engine.simulate_layers([trace_a])
         engine.simulate_layers([trace_b])
         assert engine.stats.cache_misses == 2
 
     def test_corrupt_entry_is_a_miss(self, traces, tmp_path):
-        engine = SimulationEngine(backend="vectorized", cache_dir=tmp_path,
-                                  max_groups=16)
+        engine = SimulationEngine(cache_dir=tmp_path, max_groups=16)
         engine.simulate_layers(traces)
         for path in engine.cache.cache_dir.glob("*/*.json"):
             path.write_text("{not json")
-        again = SimulationEngine(backend="vectorized", cache_dir=tmp_path,
-                                 max_groups=16)
+        again = SimulationEngine(cache_dir=tmp_path, max_groups=16)
         again.simulate_layers(traces)
         assert again.stats.cache_hits == 0
         assert again.stats.cache_misses == len(traces)
@@ -338,12 +328,12 @@ class TestResultCache:
         assert fp1 != config_fingerprint(config, 32, 4)
         tfp = trace_fingerprint(trace)
         assert tfp == trace_fingerprint(trace)
-        key = layer_key(fp1, tfp, "vectorized")
-        assert key != layer_key(fp1, tfp, "reference")
+        key = layer_key(fp1, tfp)
+        assert key == layer_key(fp2, tfp)
+        assert key != layer_key(config_fingerprint(config, 32, 4), tfp)
 
     def test_cache_len_counts_entries(self, traces, tmp_path):
-        engine = SimulationEngine(backend="vectorized", cache_dir=tmp_path,
-                                  max_groups=16)
+        engine = SimulationEngine(cache_dir=tmp_path, max_groups=16)
         engine.simulate_layers(traces)
         assert len(ResultCache(tmp_path)) == len(traces)
 
@@ -357,21 +347,19 @@ class TestRunnerIntegration:
         epoch = EpochTrace(epoch=0,
                            layers=[make_conv_trace(rng, "c0"),
                                    make_conv_trace(rng, "c1")])
-        runner = ExperimentRunner(max_groups=16, backend="vectorized",
-                                  cache_dir=tmp_path)
+        runner = ExperimentRunner(max_groups=16, cache_dir=tmp_path)
         runner.run_epoch("toy", epoch)
         assert runner.engine_stats.cache_misses == 2
-        rerun = ExperimentRunner(max_groups=16, backend="vectorized",
-                                 cache_dir=tmp_path)
+        rerun = ExperimentRunner(max_groups=16, cache_dir=tmp_path)
         rerun.run_epoch("toy", epoch)
         assert rerun.engine_stats.cache_hits == 2
         assert rerun.engine_stats.layers_simulated == 0
 
     def test_runner_backend_equivalence_on_trained_trace(self):
-        """End-to-end: a real (briefly trained) model, both backends agree."""
+        """End-to-end: a real (briefly trained) model matches the oracle."""
         from repro.models import build_snli
         from repro.nn.optim import MomentumSGD
-        from repro.simulation.runner import ExperimentRunner
+        from repro.simulation.runner import ExperimentRunner, ModelResult
         from repro.training import (
             SyntheticSequenceDataset,
             Trainer,
@@ -386,11 +374,11 @@ class TestRunnerIntegration:
             config=TrainingConfig(epochs=1, batches_per_epoch=1, batch_size=4),
         )
         trace = trainer.train(dataset, model_name="snli")
-        results = {}
-        for backend in ("reference", "vectorized"):
-            runner = ExperimentRunner(max_groups=8, backend=backend)
-            results[backend] = runner.run_final_epoch(trace)
-        ref = results["reference"]
-        assert_results_identical(results["vectorized"].layer_results,
-                                 ref.layer_results)
-        assert results["vectorized"].speedup() == ref.speedup()
+        result = ExperimentRunner(max_groups=8).run_final_epoch(trace)
+        reference = oracle_layers(trace.final_epoch().layers, max_groups=8)
+        assert reference
+        assert_results_identical(result.layer_results, reference)
+        oracle_result = ModelResult(
+            model_name="snli", epoch=result.epoch, layer_results=reference
+        )
+        assert result.speedup() == oracle_result.speedup()

@@ -50,9 +50,7 @@ class TestBitIdentity:
                                 size=size, sparsity=sparsity)
                 for i in range(2)
             ]
-            engine = SimulationEngine(
-                backend="vectorized", max_groups=8, max_batch=2,
-            )
+            engine = SimulationEngine(max_groups=8, max_batch=2)
             return engine.simulate_layers(layers)
 
         configure(None)

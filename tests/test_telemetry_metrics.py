@@ -4,7 +4,7 @@ Counters only go up, gauges move freely, histograms bucket cumulatively
 with Prometheus ``le``/``_sum``/``_count`` semantics; registration is
 idempotent per (name, type, labels); rendering is deterministic and the
 instruments stay correct under concurrent writers (the threading HTTP
-server and the parallel backend both update them from many threads).
+server updates them from many threads).
 """
 
 import threading
@@ -184,8 +184,7 @@ class TestEngineFeed:
         rng = np.random.default_rng(7)
         layers = [make_conv_trace(rng, name=f"conv{i}") for i in range(2)]
         engine = SimulationEngine(
-            backend="vectorized", cache_dir=tmp_path / "cache",
-            max_groups=8, max_batch=2,
+            cache_dir=tmp_path / "cache", max_groups=8, max_batch=2,
         )
         simulated_before = LAYERS_SIMULATED.value(backend="vectorized")
         misses_before = CACHE_MISSES.value()
