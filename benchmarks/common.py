@@ -74,13 +74,15 @@ BENCH_MODELS: List[str] = list(PAPER_MODELS)
 
 @lru_cache(maxsize=None)
 def get_trace(model_name: str, epochs: int = DEFAULT_EPOCHS) -> TrainingTrace:
-    """Train a workload briefly and return its operand traces (cached)."""
+    """Train a workload briefly and return its operand traces (cached;
+    loaded from the trace store when ``REPRO_CACHE_DIR`` is set)."""
     return trace_workload(
         model_name,
         epochs=epochs,
         batches_per_epoch=DEFAULT_BATCHES_PER_EPOCH,
         batch_size=DEFAULT_BATCH_SIZE,
         seed=0,
+        **engine_kwargs(),
     )
 
 

@@ -35,7 +35,19 @@ from repro.api.schema import (
     request_from_dict,
 )
 from repro.api.session import Session
-from repro.api.service import ApiServer, create_server, serve
+
+#: Names served by :mod:`repro.api.service`, imported on first access so
+#: that clients which never serve (``repro simulate``) skip ``http.server``.
+_SERVICE_EXPORTS = ("ApiServer", "create_server", "serve")
+
+
+def __getattr__(name):
+    if name in _SERVICE_EXPORTS:
+        from repro.api import service
+
+        return getattr(service, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "SCHEMA_VERSION",

@@ -88,7 +88,10 @@ class Session:
         Engine knobs; ``None`` falls back to the ``REPRO_CACHE_DIR`` /
         ``REPRO_TELEMETRY_DIR`` environment
         variables, then the defaults.  Several processes may share one
-        ``cache_dir``; ``telemetry_dir`` enables the
+        ``cache_dir``, which holds both the layer-result cache and the
+        trace store (:mod:`repro.training.store`), so a new session on a
+        warm directory neither retrains nor re-simulates;
+        ``telemetry_dir`` enables the
         process-wide span tracer (:mod:`repro.telemetry`) and every
         ``submit`` then records a ``session.submit`` span tree plus a
         metrics snapshot to the JSONL event log there.
@@ -159,23 +162,30 @@ class Session:
         self, model: str, epochs: int, batches_per_epoch: int,
         batch_size: int, seed: int, trace_max_batch: Optional[int] = None,
     ):
-        """Train-and-trace one workload, memoised with LRU eviction."""
+        """Train-and-trace one workload, memoised with LRU eviction.
+
+        The LRU sits above the on-disk trace store of the session's
+        ``cache_dir``; the ``session.trace`` span's ``source`` attribute
+        names the tier that served the trace (memo, store or trained).
+        """
         key = (model, epochs, batches_per_epoch, batch_size, seed,
                trace_max_batch)
-        if key in self._traces:
-            self._traces.move_to_end(key)
-        else:
-            with get_tracer().span(
-                "session.trace", model=model, epochs=epochs,
-                batches_per_epoch=batches_per_epoch, batch_size=batch_size,
-            ):
+        with get_tracer().span(
+            "session.trace", model=model, epochs=epochs,
+            batches_per_epoch=batches_per_epoch, batch_size=batch_size,
+        ) as span:
+            if key in self._traces:
+                self._traces.move_to_end(key)
+                span.set(source="memo")
+            else:
                 self._traces[key] = trace_workload(
                     model, epochs=epochs, batches_per_epoch=batches_per_epoch,
                     batch_size=batch_size, seed=seed,
                     trace_max_batch=trace_max_batch,
+                    cache_dir=self.options.cache_dir,
                 )
-            while len(self._traces) > self._max_cached_traces:
-                self._traces.popitem(last=False)
+                while len(self._traces) > self._max_cached_traces:
+                    self._traces.popitem(last=False)
         _metrics.CACHED_TRACES.set(len(self._traces))
         return self._traces[key]
 

@@ -36,12 +36,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-import tempfile
 from pathlib import Path
 from typing import Optional, Union
 
 import numpy as np
+
+from repro._atomic import atomic_write
 
 #: Bump to invalidate every existing cache entry after a format change.
 #: Version 2 added the memory-hierarchy fields (stall cycles, effective
@@ -179,20 +179,8 @@ class ResultCache:
 
     def store(self, key: str, result) -> None:
         """Persist one layer result (atomic rename, last writer wins)."""
-        path = self.path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
         payload = json.dumps(_result_to_payload(result))
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(payload)
-            os.replace(tmp, path)
-        except OSError:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        atomic_write(self.path_for(key), payload.encode())
 
     def __len__(self) -> int:
         return sum(1 for _ in self.cache_dir.glob("*/*.json"))

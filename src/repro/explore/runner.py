@@ -31,12 +31,12 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
+from repro._atomic import atomic_write
 from repro.analysis.frontier import Objective, best_per_objective, pareto_frontier
 from repro.energy.area_model import AreaModel
 from repro.engine.engine import EngineStats
@@ -327,17 +327,7 @@ class StudyRunner:
             },
             indent=2,
         )
-        fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(payload)
-            os.replace(tmp, path)
-        except OSError:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        atomic_write(path, payload.encode())
         self._close_segment()
         segment = self.segment_path
         if segment is not None and segment.exists():
@@ -345,7 +335,7 @@ class StudyRunner:
 
     # ------------------------------------------------------------------
     def _trace(self, workload: str):
-        """Train and trace one workload (once per study)."""
+        """Train (or load from the trace store) one workload, once per study."""
         if workload not in self._traces:
             if self._trace_fn is not None:
                 self._traces[workload] = self._trace_fn(workload)
@@ -360,6 +350,7 @@ class StudyRunner:
                     batch_size=spec.batch_size,
                     seed=spec.seed,
                     trace_max_batch=spec.trace_max_batch,
+                    cache_dir=self.cache_dir,
                 )
         return self._traces[workload]
 

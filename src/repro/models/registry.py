@@ -8,8 +8,9 @@ per-model series of Figs. 1 and 13-16.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from dataclasses import dataclass
+from pathlib import Path
+from typing import Callable, Dict, List, Optional, Union
 
 from repro.models.alexnet import build_alexnet
 from repro.models.densenet import build_densenet121
@@ -160,6 +161,7 @@ def trace_workload(
     seed: int = 0,
     learning_rate: float = 0.01,
     trace_max_batch: Optional[int] = None,
+    cache_dir: Optional[Union[str, Path]] = None,
 ):
     """Train a registered workload briefly and return its operand traces.
 
@@ -174,11 +176,31 @@ def trace_workload(
     layer (``None`` keeps the trainer's default of 4).  Multi-device
     scaling runs raise it to the device count so data-parallel shards
     stay balanced; everything else leaves it alone.
+
+    With a ``cache_dir`` the trace is looked up in the content-addressed
+    trace store under it (:mod:`repro.training.store`) and the model is
+    trained only on a miss, which then stores the trace.  The innermost
+    open telemetry span (the session's ``session.trace``) records where
+    the trace came from as ``source="store"`` or ``source="trained"``.
     """
     # Imported lazily: repro.training imports this module's datasets, so a
     # top-level import would be circular.
     from repro.nn.optim import MomentumSGD
+    from repro.telemetry.tracing import get_tracer
+    from repro.training.store import TraceStore, trace_key
     from repro.training.trainer import Trainer, TrainingConfig
+
+    span = get_tracer().current_span()
+    store = key = None
+    if cache_dir is not None:
+        store = TraceStore(cache_dir)
+        key = trace_key(name, epochs, batches_per_epoch, batch_size, seed,
+                        learning_rate, trace_max_batch)
+        trace = store.load(key)
+        if trace is not None:
+            if span is not None:
+                span.set(source="store")
+            return trace
 
     model = build_model(name, seed=seed)
     dataset = build_dataset(name, seed=seed)
@@ -199,7 +221,12 @@ def trace_workload(
         ),
         pruning_hook=build_pruning_hook(name, optimizer),
     )
-    return trainer.train(dataset, model_name=name)
+    trace = trainer.train(dataset, model_name=name)
+    if store is not None:
+        store.store(key, trace)
+    if span is not None:
+        span.set(source="trained")
+    return trace
 
 
 def build_pruning_hook(name: str, optimizer=None):

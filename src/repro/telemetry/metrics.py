@@ -383,6 +383,12 @@ CACHED_TRACES = _DEFAULT_REGISTRY.gauge(
     "repro_session_cached_traces",
     "Training traces currently cached by the session.",
 )
+#: Trace-store lookups by outcome (hit, miss, corrupt file read as a miss).
+TRACE_STORE = _DEFAULT_REGISTRY.counter(
+    "repro_trace_store_total",
+    "Training-trace store lookups, by outcome (hit, miss, corrupt).",
+    labels=("outcome",),
+)
 #: Asynchronous job state transitions (a job increments every state it enters).
 JOBS_TOTAL = _DEFAULT_REGISTRY.counter(
     "repro_jobs_total",
@@ -406,6 +412,8 @@ JOB_SECONDS = _DEFAULT_REGISTRY.histogram(
 for _tier in ("memo", "disk"):
     CACHE_HITS.inc(0, tier=_tier)
 CACHE_MISSES.inc(0)
+for _outcome in ("hit", "miss", "corrupt"):
+    TRACE_STORE.inc(0, outcome=_outcome)
 # Likewise every job state, so dashboards see the full lifecycle from
 # the first scrape (mirrors repro.api.schema.JOB_STATES; kept literal —
 # this module sits below the API layer).

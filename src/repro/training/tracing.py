@@ -94,7 +94,7 @@ class TrainingTrace:
 def _sparsity(tensor: np.ndarray) -> float:
     if tensor.size == 0:
         return 0.0
-    return 1.0 - np.count_nonzero(tensor) / tensor.size
+    return float(1.0 - np.count_nonzero(tensor) / tensor.size)
 
 
 class TraceCollector:

@@ -176,3 +176,36 @@ class TestCommands:
         envelope = ApiResult.from_dict(payload)
         assert envelope.result.total_operations > 0
         assert envelope.result.roofline["points"]
+
+
+class TestImportCost:
+    def test_cli_import_skips_the_http_service(self):
+        """``import repro.cli`` must not load ``http.server``; the service
+        names stay importable from ``repro.api`` on first use."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = Path(__file__).resolve().parent.parent / "src"
+        script = (
+            "import sys\n"
+            "import repro.cli\n"
+            "assert 'http.server' not in sys.modules, 'http.server'\n"
+            "assert 'repro.api.service' not in sys.modules, 'repro.api.service'\n"
+            "from repro.api import ApiServer, create_server, serve\n"
+            "assert 'http.server' in sys.modules\n"
+            "assert serve.__module__ == 'repro.api.service'\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+
+    def test_unknown_api_attribute_raises(self):
+        import repro.api
+
+        with pytest.raises(AttributeError):
+            repro.api.not_a_name

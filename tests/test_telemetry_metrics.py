@@ -16,6 +16,7 @@ from repro.telemetry.metrics import (
     CACHE_HITS,
     CACHE_MISSES,
     LAYERS_SIMULATED,
+    TRACE_STORE,
     get_registry,
 )
 
@@ -147,6 +148,11 @@ class TestRegistry:
         }
         assert {"memo", "disk"} <= tiers
         assert "repro_cache_misses_total" in payload
+        outcomes = {
+            series["labels"]["outcome"]
+            for series in payload["repro_trace_store_total"]["values"]
+        }
+        assert {"hit", "miss", "corrupt"} <= outcomes
 
 
 class TestConcurrency:
@@ -198,3 +204,43 @@ class TestEngineFeed:
         engine.simulate_layers(layers)
         assert CACHE_HITS.value(tier="disk") == disk_before + 2
         assert LAYERS_SIMULATED.value(backend="vectorized") == simulated_before + 2
+
+
+class TestTraceStoreFeed:
+    def test_session_trace_span_and_counter_name_the_source(self, tmp_path):
+        from repro.api import Session
+        from repro.telemetry import configure
+        from repro.telemetry.view import load_spans
+
+        def sources(telemetry_dir):
+            return [
+                span["attributes"]["source"]
+                for span in load_spans(telemetry_dir)
+                if span["name"] == "session.trace"
+            ]
+
+        def outcomes():
+            return {o: TRACE_STORE.value(outcome=o) for o in ("hit", "miss", "corrupt")}
+
+        request = dict(epochs=1, batches_per_epoch=1, batch_size=4, max_groups=8)
+        cache = str(tmp_path / "cache")
+        try:
+            before = outcomes()
+            session = Session(cache_dir=cache, telemetry_dir=str(tmp_path / "t1"))
+            session.simulate("snli", **request)
+            session.simulate("snli", **request)
+            assert sources(tmp_path / "t1") == ["trained", "memo"]
+            middle = outcomes()
+            assert middle["miss"] == before["miss"] + 1
+            assert middle["hit"] == before["hit"]
+
+            fresh = Session(cache_dir=cache, telemetry_dir=str(tmp_path / "t2"))
+            fresh.simulate("snli", **request)
+            assert sources(tmp_path / "t2") == ["store"]
+            after = outcomes()
+            assert after["hit"] == middle["hit"] + 1
+            assert after["corrupt"] == before["corrupt"]
+            rendered = get_registry().render_prometheus()
+            assert 'repro_trace_store_total{outcome="hit"}' in rendered
+        finally:
+            configure(None)
