@@ -4,8 +4,8 @@ The layer-result cache, the trace store and study manifests all write a
 whole file to a temporary name in the target directory and rename it
 into place.  Readers, in this or any other process, therefore see the
 old file or the new one, never a partial write.  There is no ``fsync``:
-after a power loss a renamed file may still be torn, and every reader of
-these files treats an unreadable file as a miss.
+after a power loss a renamed file may still be torn; the caches treat an
+unreadable file as a miss, and a study resume refuses it.
 """
 
 from __future__ import annotations

@@ -408,7 +408,7 @@ class DiffRequest(_ApiModel):
     this request through the session like every other subcommand.
 
     ``mode="study"``: ``a``/``b`` are study manifests (compacted
-    ``manifest.json`` shape) or ``repro explore --format json`` study
+    manifest shape, :mod:`repro.explore.manifest`) or ``repro explore --format json`` study
     documents.  ``mode="bench"``: ``a``/``b`` are single BENCH documents
     or ``{name -> BENCH document}`` mappings.
     """

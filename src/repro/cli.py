@@ -51,9 +51,9 @@ JSON to a running ``repro serve``.
     this" attribution, and improved/held/regressed classification of
     watched benchmark gates.  ``--fail-on regressed`` exits nonzero on
     regressions — the CI ``regression-watch`` gate.  Sides are study
-    directories, ``manifest.json`` / ``manifest.segment.jsonl`` files,
-    ``repro explore --format json`` documents, BENCH files, or
-    directories of BENCH files; the mode is auto-detected.
+    directories, their manifest or segment files, ``repro explore
+    --format json`` documents, BENCH files, or directories of BENCH
+    files; the mode is auto-detected.
 
 ``serve``
     Start the batch simulation service: concurrent clients POST request
@@ -726,6 +726,7 @@ def _load_diff_side(path_text: str, mode: str):
     """
     import json as _json
 
+    from repro.explore.manifest import is_study_dir
     from repro.lineage.bench import load_bench_side
     from repro.lineage.snapshot import ManifestSnapshot, SnapshotError
 
@@ -735,9 +736,7 @@ def _load_diff_side(path_text: str, mode: str):
     detected = mode
     if mode == "auto":
         if path.is_dir():
-            if (path / "manifest.json").exists() or (
-                path / "manifest.segment.jsonl"
-            ).exists():
+            if is_study_dir(path):
                 detected = "study"
             elif any(path.glob("BENCH_*.json")):
                 detected = "bench"

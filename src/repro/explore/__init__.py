@@ -17,7 +17,8 @@ one-knob-at-a-time sweeps into declarative *studies*:
     other entry point), records speedup, energy
     efficiency and area overhead per point, and checkpoints a resumable
     manifest so an interrupted study continues where it left off with
-    zero re-simulation.
+    zero re-simulation.  The checkpoint format itself (one reader, one
+    writer) is :mod:`~repro.explore.manifest`.
 
 :mod:`~repro.analysis.frontier` + :mod:`~repro.explore.report`
     Pareto-dominance filtering, per-objective winners, and table / JSON /
@@ -41,7 +42,6 @@ from repro.explore.runner import (
     StudyResult,
     StudyResumeError,
     StudyRunner,
-    run_study,
 )
 from repro.explore.scenarios import apply_scenario, parse_scenario
 from repro.explore.spec import (
@@ -78,7 +78,6 @@ __all__ = [
     "StudyResult",
     "StudyResumeError",
     "PointResult",
-    "run_study",
     "format_study_report",
     "format_points_table",
     "format_frontier_table",

@@ -13,34 +13,34 @@ Studies are resumable: with a ``study_dir`` the runner appends one
 fsync'd JSONL record per completed point to a manifest *segment*
 (checkpoint cost is O(N) over the study, not O(N²) of rewriting a
 manifest per point) and defaults the engine cache into the same
-directory.  The segment is compacted into the classic ``manifest.json``
-at study end and on resume; a killed study restarted with
-``resume=True`` reloads the union of compacted + appended records and
-skips every finished point, and layers simulated before the kill come
-back as cache hits — nothing is ever simulated twice.  Manifests
-written before the segment existed still load unchanged.
+directory.  The segment is compacted into the manifest at study end
+and on resume; a killed study restarted with ``resume=True`` reloads
+the union of compacted + appended records and skips every finished
+point, and layers simulated before the kill come back as cache hits —
+nothing is ever simulated twice.  An unreadable or foreign-version
+checkpoint is refused with :class:`StudyResumeError` and left as it
+is.  The on-disk format lives in :mod:`repro.explore.manifest`.
 
 With ``study_jobs > 1`` the remaining point groups fan out across a
 pool of worker processes (:class:`~repro.explore.executor.StudyExecutor`),
-each owning an engine on the same disk cache; results merge deterministically in point order and per-worker
-engine stats aggregate exactly.  ``study_jobs=1`` (the default) is
-byte-for-byte today's serial path.
+each owning an engine on the same disk cache; results merge
+deterministically in point order and per-worker engine stats aggregate
+exactly.  ``study_jobs=1`` (the default) is byte-for-byte today's serial
+path.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
-from repro._atomic import atomic_write
 from repro.analysis.frontier import Objective, best_per_objective, pareto_frontier
 from repro.energy.area_model import AreaModel
 from repro.engine.engine import EngineStats
 from repro.memory.hierarchy import bytes_per_cycle
+from repro.explore import manifest
 from repro.explore.scenarios import apply_scenario
 from repro.explore.spec import DesignPoint, StudySpec, parse_objectives
 from repro.simulation.runner import ExperimentRunner
@@ -48,12 +48,10 @@ from repro.telemetry import metrics as _metrics
 from repro.telemetry.tracing import get_tracer
 from repro.training.tracing import EpochTrace
 
-#: Manifest format version; bump to orphan old manifests.
-MANIFEST_VERSION = 1
-
 
 class StudyResumeError(ValueError):
-    """Raised when a manifest cannot be resumed (e.g. the spec changed)."""
+    """Raised when a manifest cannot be resumed: the spec changed, or a
+    checkpoint file is unreadable or from another format version."""
 
 
 @dataclass
@@ -186,23 +184,9 @@ class StudyRunner:
         self._scenario_traces: Dict[tuple, EpochTrace] = {}
         self._runners: "OrderedDict[str, ExperimentRunner]" = OrderedDict()
         self._worker_stats: List[EngineStats] = []
-        self._segment_handle = None
+        self._segment: Optional[manifest.SegmentWriter] = None
 
     # ------------------------------------------------------------------
-    @property
-    def manifest_path(self) -> Optional[Path]:
-        """Where the resumable manifest lives (``None`` without a study dir)."""
-        if self.study_dir is None:
-            return None
-        return self.study_dir / "manifest.json"
-
-    @property
-    def segment_path(self) -> Optional[Path]:
-        """The append-only JSONL checkpoint segment for the current run."""
-        if self.study_dir is None:
-            return None
-        return self.study_dir / "manifest.segment.jsonl"
-
     @property
     def worker_stats(self) -> List[EngineStats]:
         """Exact per-chunk engine-stats deltas reported by study workers.
@@ -214,124 +198,55 @@ class StudyRunner:
         """
         return list(self._worker_stats)
 
-    def _check_fingerprint(self, fingerprint, path: Path) -> None:
-        if fingerprint != self.spec.fingerprint():
-            raise StudyResumeError(
-                f"study manifest {path} was written for a different spec "
-                f"(fingerprint {fingerprint!r} != "
-                f"{self.spec.fingerprint()!r}); use a fresh --study-dir or "
-                f"rerun without --resume"
-            )
-
-    def _load_manifest(self) -> Dict[str, PointResult]:
+    def _load_checkpoint(self) -> Dict[str, PointResult]:
         """Every checkpointed record: compacted manifest ∪ appended segment.
 
-        Pre-segment manifests (just ``manifest.json``) load unchanged;
-        segment records win on point-id collision (they are newer).
+        An unreadable or foreign-version file is refused, not skipped,
+        and left untouched for the user to inspect.
         """
-        path = self.manifest_path
-        if path is None:
-            return {}
         records: Dict[str, PointResult] = {}
-        if path.exists():
-            payload = json.loads(path.read_text())
-            if payload.get("version") == MANIFEST_VERSION:
-                self._check_fingerprint(payload.get("spec_fingerprint"), path)
-                records = {
-                    point_id: PointResult.from_dict(record)
-                    for point_id, record in payload.get("completed", {}).items()
-                }
-        records.update(self._load_segment())
+        for path in manifest.checkpoint_files(self.study_dir):
+            try:
+                checkpoint = manifest.read_checkpoint(path)
+                loaded = [PointResult.from_dict(r) for r in checkpoint.records]
+            except manifest.CheckpointError as exc:
+                raise StudyResumeError(f"cannot resume: {exc}") from None
+            except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                raise StudyResumeError(
+                    f"cannot resume: {path}: malformed point record ({exc!r})"
+                ) from None
+            # A segment killed before its header landed holds nothing.
+            fingerprint = checkpoint.spec_fingerprint
+            if checkpoint.version is not None and (
+                fingerprint != self.spec.fingerprint()
+            ):
+                raise StudyResumeError(
+                    f"study manifest {path} was written for a different spec "
+                    f"(fingerprint {fingerprint!r} != "
+                    f"{self.spec.fingerprint()!r}); use a fresh --study-dir "
+                    f"or rerun without --resume"
+                )
+            records.update((record.point_id, record) for record in loaded)
         return records
-
-    def _load_segment(self) -> Dict[str, PointResult]:
-        path = self.segment_path
-        if path is None or not path.exists():
-            return {}
-        records: Dict[str, PointResult] = {}
-        header_seen = False
-        with path.open() as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    entry = json.loads(line)
-                except json.JSONDecodeError:
-                    # A kill can truncate the final append mid-line;
-                    # every complete record before it is still good.
-                    break
-                if not header_seen:
-                    header_seen = True
-                    if (
-                        entry.get("kind") != "header"
-                        or entry.get("version") != MANIFEST_VERSION
-                    ):
-                        return {}
-                    self._check_fingerprint(entry.get("spec_fingerprint"), path)
-                    continue
-                if entry.get("kind") == "point":
-                    record = PointResult.from_dict(entry["record"])
-                    records[record.point_id] = record
-        return records
-
-    def _open_segment(self) -> None:
-        """Start a fresh segment for this run (prior ones were compacted)."""
-        path = self.segment_path
-        if path is None:
-            return
-        handle = path.open("w")
-        header = {
-            "kind": "header",
-            "version": MANIFEST_VERSION,
-            "spec_fingerprint": self.spec.fingerprint(),
-        }
-        handle.write(json.dumps(header) + "\n")
-        handle.flush()
-        os.fsync(handle.fileno())
-        self._segment_handle = handle
-
-    def _append_segment(self, record: PointResult) -> None:
-        """Checkpoint one completed point: a single fsync'd JSONL append."""
-        handle = self._segment_handle
-        if handle is None:
-            return
-        handle.write(json.dumps({"kind": "point", "record": record.to_dict()}) + "\n")
-        handle.flush()
-        os.fsync(handle.fileno())
 
     def _close_segment(self) -> None:
-        if self._segment_handle is not None:
-            self._segment_handle.close()
-            self._segment_handle = None
+        if self._segment is not None:
+            self._segment.close()
+            self._segment = None
 
     def _compact(self, completed: Dict[str, PointResult]) -> None:
-        """One atomic ``manifest.json`` rewrite; the segment is folded in.
+        """One atomic manifest rewrite; the segment is folded in.
 
         Runs at study end and when a resume finds appended records, so
         steady state is always a single compact manifest — and per-point
         checkpoint cost stays an O(1) append in between.
         """
-        path = self.manifest_path
-        if path is None:
+        if self.study_dir is None:
             return
-        payload = json.dumps(
-            {
-                "version": MANIFEST_VERSION,
-                "spec": self.spec.to_dict(),
-                "spec_fingerprint": self.spec.fingerprint(),
-                "completed": {
-                    point_id: record.to_dict()
-                    for point_id, record in completed.items()
-                },
-            },
-            indent=2,
-        )
-        atomic_write(path, payload.encode())
         self._close_segment()
-        segment = self.segment_path
-        if segment is not None and segment.exists():
-            segment.unlink()
+        records = [record.to_dict() for record in completed.values()]
+        manifest.compact(self.study_dir, self.spec.to_dict(),
+                         self.spec.fingerprint(), records)
 
     # ------------------------------------------------------------------
     def _trace(self, workload: str):
@@ -532,21 +447,20 @@ class StudyRunner:
         # when resuming a sampled subset, so records for points outside
         # the current expansion are preserved, not discarded.
         stored: Dict[str, PointResult] = {}
-        if resume and self.manifest_path is None:
+        if resume and self.study_dir is None:
             raise StudyResumeError(
                 "resume requested but this runner has no study_dir "
                 "(nowhere to read a manifest from)"
             )
         if resume:
-            stored = self._load_manifest()
+            stored = self._load_checkpoint()
             valid_ids = {point.point_id for point in points}
             completed = {
                 point_id: record
                 for point_id, record in stored.items()
                 if point_id in valid_ids
             }
-            segment = self.segment_path
-            if segment is not None and segment.exists():
+            if manifest.segment_path(self.study_dir).exists():
                 # Fold interrupted-run appends into the compact manifest
                 # now, so a segment never survives two generations.
                 self._compact(stored)
@@ -571,7 +485,8 @@ class StudyRunner:
             nonlocal done
             completed[record.point_id] = record
             stored[record.point_id] = record
-            self._append_segment(record)
+            if self._segment is not None:
+                self._segment.append(record.to_dict())
             _metrics.STUDY_POINTS.inc()
             _metrics.STALL_FRACTION.observe(record.metrics["stall_fraction"])
             done += 1
@@ -602,7 +517,9 @@ class StudyRunner:
 
         workers = 0
         try:
-            self._open_segment()
+            if self.study_dir is not None:  # prior segments were compacted
+                self._segment = manifest.SegmentWriter(
+                    self.study_dir, self.spec.fingerprint())
             if self.study_jobs > 1 and groups:
                 from repro.explore.executor import StudyExecutor
 
@@ -654,28 +571,8 @@ class StudyRunner:
             if id(runner.engine) in seen:
                 continue
             seen.add(id(runner.engine))
-            stats = runner.engine_stats
-            totals.layers_simulated += stats.layers_simulated
-            totals.cache_hits += stats.cache_hits
-            totals.cache_misses += stats.cache_misses
+            totals.absorb(runner.engine_stats)
         for delta in self._worker_stats:
             totals.absorb(delta)
         return totals
 
-
-def run_study(
-    spec: StudySpec,
-    study_dir: Optional[Union[str, Path]] = None,
-    resume: bool = False,
-    cache_dir: Optional[Union[str, Path]] = None,
-    study_jobs: Optional[int] = None,
-    progress: Optional[Callable[[str], None]] = None,
-) -> StudyResult:
-    """One-call convenience wrapping :class:`StudyRunner`."""
-    runner = StudyRunner(
-        spec,
-        study_dir=study_dir,
-        cache_dir=cache_dir,
-        study_jobs=study_jobs,
-    )
-    return runner.run(resume=resume, progress=progress)

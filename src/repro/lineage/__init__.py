@@ -7,12 +7,11 @@ frontier or slowed a hot path was only caught by a human staring at
 numbers.  ``repro.lineage`` closes that loop:
 
 :class:`~repro.lineage.snapshot.ManifestSnapshot`
-    Normalises any study artifact — a study directory, a compacted
-    ``manifest.json`` (old rewrite-style), an append-only
-    ``manifest.segment.jsonl`` (PR 8 format, torn trailing lines
-    tolerated), or a ``repro explore --format json`` study document —
-    into a point-keyed snapshot with a spec fingerprint and a
-    noise-field ignore list.
+    Normalises any study artifact — a study directory, its compacted
+    manifest or append-only segment (read through the one checkpoint
+    reader, :mod:`repro.explore.manifest`), or a ``repro explore
+    --format json`` study document — into a point-keyed snapshot with a
+    spec fingerprint and a noise-field ignore list.
 
 :func:`~repro.lineage.diff.diff_snapshots`
     Field-level diff of two snapshots: per-point metric deltas

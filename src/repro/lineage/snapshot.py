@@ -1,27 +1,21 @@
-"""Point-keyed snapshots of study manifests, whatever their on-disk shape.
+"""Point-keyed snapshots of study results, whatever their on-disk shape.
 
-A study's results have accumulated three serialised forms over the
-repo's history:
+A study's results come in two serialised forms:
 
-* the compacted ``manifest.json`` written by :class:`~repro.explore.runner.StudyRunner`
-  (``{"version": 1, "spec": ..., "spec_fingerprint": ..., "completed": {...}}``
-  — the *old rewrite-style* manifest, still the steady-state format);
-* the append-only ``manifest.segment.jsonl`` checkpoint segment
-  (header line + one ``{"kind": "point", "record": ...}`` line per
-  completed point; a kill can truncate the final line mid-write);
+* its checkpoint — a compacted manifest, an append-only segment, or a
+  study directory holding both, read through the one checkpoint reader
+  in :mod:`repro.explore.manifest` (which also documents the format);
 * the study *document* emitted by ``repro explore --format json``
   (:func:`repro.explore.report.study_to_dict`:
   ``{"spec": ..., "points": [...], "frontier": [...], ...}``).
 
-:class:`ManifestSnapshot` normalises any of them — or a study directory
-holding the first two — into one immutable view keyed by
-``point_id``, carrying the spec fingerprint (recorded, or recomputed
-from an embedded spec) and dropping noise fields (non-finite metric
-values and any explicitly ignored metric names) so diffs compare only
-signal.  Loading is deliberately tolerant: torn trailing segment lines
-are skipped exactly like :meth:`StudyRunner._load_segment` does, and a
-manifest.json ∪ segment union resolves point-id collisions in favour of
-the segment (newer wins).
+:class:`ManifestSnapshot` normalises either into one immutable view
+keyed by ``point_id``, carrying the spec fingerprint (recorded, or
+recomputed from an embedded spec) and dropping noise fields (non-finite
+metric values and any explicitly ignored metric names) so diffs compare
+only signal.  Torn trailing segment lines become warnings, and a
+fingerprint mismatch between a study directory's manifest and segment
+is a warning too — ``repro diff`` still compares what was recorded.
 """
 
 from __future__ import annotations
@@ -32,7 +26,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.explore.runner import MANIFEST_VERSION
+from repro.explore import manifest
 
 #: Metric fields that are wall-clock / environment noise rather than
 #: simulated results; always dropped from snapshots.  Study metrics are
@@ -45,8 +39,9 @@ DEFAULT_IGNORE_FIELDS: Tuple[str, ...] = (
 )
 
 
-class SnapshotError(ValueError):
-    """Raised when a payload or path cannot be read as a study snapshot."""
+#: Raised when a payload or path cannot be read as a study snapshot.  It
+#: is the checkpoint reader's own error, so its refusals pass through.
+SnapshotError = manifest.CheckpointError
 
 
 def _finite(value) -> Optional[float]:
@@ -158,92 +153,19 @@ class ManifestSnapshot:
             raise SnapshotError(
                 f"{source}: expected a JSON object, got {type(payload).__name__}"
             )
-        warnings: List[str] = []
-        version = payload.get("version")
-        if version is not None and version != MANIFEST_VERSION:
-            raise SnapshotError(
-                f"{source}: manifest version {version!r} is not supported "
-                f"(this build reads version {MANIFEST_VERSION})"
-            )
         if "completed" in payload:
-            records = list(payload.get("completed", {}).values())
+            part = manifest.parse_manifest(payload, source)
         elif "points" in payload:
-            records = list(payload.get("points") or [])
+            manifest.check_version(payload.get("version"), source)
+            part = manifest.Checkpoint(
+                manifest.MANIFEST_VERSION, payload.get("spec_fingerprint"),
+                payload.get("spec"), list(payload.get("points") or []))
         else:
             raise SnapshotError(
                 f"{source}: payload has neither 'completed' (manifest) nor "
                 f"'points' (study document); keys: {sorted(payload)[:8]}"
             )
-        points: Dict[str, SnapshotPoint] = {}
-        for record in records:
-            point = SnapshotPoint.from_record(record, ignore=ignore)
-            points[point.point_id] = point
-        fingerprint = payload.get("spec_fingerprint")
-        spec = payload.get("spec")
-        objectives: Tuple[str, ...] = ()
-        if isinstance(spec, dict):
-            objectives = tuple(spec.get("objectives") or ())
-            if fingerprint is None and "workloads" in spec:
-                fingerprint = _fingerprint_from_spec(spec, source, warnings)
-        return cls(
-            source=source,
-            points=points,
-            spec_fingerprint=fingerprint,
-            objectives=objectives,
-            warnings=tuple(warnings),
-        )
-
-    @classmethod
-    def from_segment(
-        cls,
-        path: Union[str, Path],
-        ignore: Sequence[str] = (),
-    ) -> "ManifestSnapshot":
-        """Load an append-only segment, tolerating a torn trailing line."""
-        path = Path(path)
-        points: Dict[str, SnapshotPoint] = {}
-        warnings: List[str] = []
-        fingerprint: Optional[str] = None
-        header_seen = False
-        with path.open() as handle:
-            for lineno, line in enumerate(handle, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    entry = json.loads(line)
-                except json.JSONDecodeError:
-                    # A kill can truncate the final append mid-line;
-                    # every complete record before it is still good.
-                    warnings.append(
-                        f"{path}:{lineno}: torn record, stopping here"
-                    )
-                    break
-                if not header_seen:
-                    header_seen = True
-                    if entry.get("kind") != "header":
-                        raise SnapshotError(
-                            f"{path}: first segment line is not a header"
-                        )
-                    version = entry.get("version")
-                    if version != MANIFEST_VERSION:
-                        raise SnapshotError(
-                            f"{path}: segment version {version!r} is not "
-                            f"supported (this build reads {MANIFEST_VERSION})"
-                        )
-                    fingerprint = entry.get("spec_fingerprint")
-                    continue
-                if entry.get("kind") == "point":
-                    point = SnapshotPoint.from_record(
-                        entry.get("record") or {}, ignore=ignore
-                    )
-                    points[point.point_id] = point
-        return cls(
-            source=str(path),
-            points=points,
-            spec_fingerprint=fingerprint,
-            warnings=tuple(warnings),
-        )
+        return cls._from_parts(source, [(source, part)], ignore)
 
     @classmethod
     def from_file(
@@ -253,63 +175,65 @@ class ManifestSnapshot:
     ) -> "ManifestSnapshot":
         """Load a snapshot from any on-disk study artifact.
 
-        ``path`` may be a study directory (``manifest.json`` ∪
-        ``manifest.segment.jsonl``, segment records winning), a bare
-        manifest / study-document JSON file, or a bare ``.jsonl``
-        segment.
+        ``path`` may be a study directory (its checkpoint files, segment
+        records winning), a bare manifest / study-document JSON file, or
+        a bare ``.jsonl`` segment.
         """
         path = Path(path)
-        if path.is_dir():
-            return cls._from_study_dir(path, ignore=ignore)
         if not path.exists():
             raise SnapshotError(f"{path}: no such file or directory")
-        if path.suffix == ".jsonl":
-            return cls.from_segment(path, ignore=ignore)
-        try:
-            payload = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise SnapshotError(f"{path}: not valid JSON ({exc})") from None
-        return cls.from_payload(payload, source=str(path), ignore=ignore)
+        if path.is_dir():
+            files = manifest.checkpoint_files(path)
+            if not files:
+                raise SnapshotError(
+                    f"{path}: directory holds neither {manifest.MANIFEST_NAME}"
+                    f" nor {manifest.SEGMENT_NAME} — not a study directory"
+                )
+        elif path.suffix == ".jsonl":
+            files = [path]
+        else:
+            try:
+                payload = json.loads(path.read_text())
+            except json.JSONDecodeError as exc:
+                raise SnapshotError(f"{path}: not valid JSON ({exc})") from None
+            return cls.from_payload(payload, source=str(path), ignore=ignore)
+        parts = [(str(file), manifest.read_checkpoint(file)) for file in files]
+        return cls._from_parts(str(path), parts, ignore)
 
     @classmethod
-    def _from_study_dir(
-        cls, path: Path, ignore: Sequence[str] = ()
+    def _from_parts(
+        cls,
+        source: str,
+        parts: Sequence[Tuple[str, "manifest.Checkpoint"]],
+        ignore: Sequence[str],
     ) -> "ManifestSnapshot":
-        manifest = path / "manifest.json"
-        segment = path / "manifest.segment.jsonl"
-        if not manifest.exists() and not segment.exists():
-            raise SnapshotError(
-                f"{path}: directory holds neither manifest.json nor "
-                f"manifest.segment.jsonl — not a study directory"
-            )
+        """The union of ``(origin, checkpoint)`` parts, later ones winning."""
         points: Dict[str, SnapshotPoint] = {}
         warnings: List[str] = []
         fingerprint: Optional[str] = None
         objectives: Tuple[str, ...] = ()
-        if manifest.exists():
-            base = cls.from_file(manifest, ignore=ignore)
-            points.update(base.points)
-            fingerprint = base.spec_fingerprint
-            objectives = base.objectives
-            warnings.extend(base.warnings)
-        if segment.exists():
-            extra = cls.from_segment(segment, ignore=ignore)
-            if (
-                fingerprint is not None
-                and extra.spec_fingerprint is not None
-                and extra.spec_fingerprint != fingerprint
-            ):
-                warnings.append(
-                    f"{segment}: segment fingerprint "
-                    f"{extra.spec_fingerprint!r} != manifest fingerprint "
-                    f"{fingerprint!r}; keeping the segment's records anyway"
-                )
-            points.update(extra.points)
+        for origin, part in parts:
+            part_fingerprint = part.spec_fingerprint
+            if isinstance(part.spec, dict):
+                objectives = tuple(part.spec.get("objectives") or ())
+                if part_fingerprint is None and "workloads" in part.spec:
+                    part_fingerprint = _fingerprint_from_spec(
+                        part.spec, origin, warnings
+                    )
             if fingerprint is None:
-                fingerprint = extra.spec_fingerprint
-            warnings.extend(extra.warnings)
+                fingerprint = part_fingerprint
+            elif part_fingerprint not in (None, fingerprint):
+                warnings.append(
+                    f"{origin}: segment fingerprint {part_fingerprint!r} != "
+                    f"manifest fingerprint {fingerprint!r}; keeping the "
+                    f"segment's records anyway"
+                )
+            warnings.extend(part.warnings)
+            for record in part.records:
+                point = SnapshotPoint.from_record(record, ignore=ignore)
+                points[point.point_id] = point
         return cls(
-            source=str(path),
+            source=source,
             points=points,
             spec_fingerprint=fingerprint,
             objectives=objectives,
@@ -325,7 +249,7 @@ class ManifestSnapshot:
         whatever the source format, the wire carries one canonical
         shape.  Loading the payload back yields an equal snapshot.
         """
-        payload: Dict = {"version": MANIFEST_VERSION}
+        payload: Dict = {"version": manifest.MANIFEST_VERSION}
         if self.spec_fingerprint is not None:
             payload["spec_fingerprint"] = self.spec_fingerprint
         if self.objectives:

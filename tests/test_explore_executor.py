@@ -259,6 +259,110 @@ class TestManifestSegment:
         assert len(result.points) == 3
         assert not (study_dir / "manifest.segment.jsonl").exists()
 
+    @staticmethod
+    def _corrupt_manifest(study_dir):
+        path = study_dir / "manifest.json"
+        path.write_text('{"version": 1, "completed": {')
+        return path
+
+    @staticmethod
+    def _foreign_segment(study_dir):
+        path = study_dir / "manifest.segment.jsonl"
+        lines = path.read_text().splitlines()
+        header = json.loads(lines[0])
+        header["version"] = 99
+        path.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+        return path
+
+    @staticmethod
+    def _malformed_record(study_dir):
+        path = study_dir / "manifest.segment.jsonl"
+        with path.open("a") as handle:
+            handle.write(json.dumps({"kind": "point", "record": {"point_id": "x"}}))
+            handle.write("\n")
+        return path
+
+    @pytest.mark.parametrize(
+        "damage", ["corrupt_manifest", "foreign_segment", "malformed_record"]
+    )
+    def test_unreadable_checkpoint_refuses_resume(self, tmp_path, damage):
+        from repro.explore import StudyResumeError
+
+        spec = single_group_spec()
+        study_dir = tmp_path / "study"
+        if damage == "corrupt_manifest":
+            StudyRunner(spec, study_dir=study_dir).run()
+        else:
+            run_and_kill(spec, study_dir, after_points=1)
+        damaged = getattr(self, "_" + damage)(study_dir)
+        before = {
+            path.name: path.read_bytes()
+            for path in study_dir.iterdir() if path.is_file()
+        }
+        with pytest.raises(StudyResumeError, match=damaged.name):
+            StudyRunner(spec, study_dir=study_dir).run(resume=True)
+        after = {
+            path.name: path.read_bytes()
+            for path in study_dir.iterdir() if path.is_file()
+        }
+        assert after == before
+
+    @pytest.mark.parametrize("damage", ["corrupt_manifest", "foreign_segment"])
+    def test_cli_resume_on_unreadable_checkpoint_exits_2(self, tmp_path, damage):
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        spec = single_group_spec()
+        study_dir = tmp_path / "study"
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec.to_dict()))
+        if damage == "corrupt_manifest":
+            StudyRunner(spec, study_dir=study_dir).run()
+        else:
+            run_and_kill(spec, study_dir, after_points=1)
+        damaged = getattr(self, "_" + damage)(study_dir)
+        env = dict(os.environ)
+        src = Path(__file__).resolve().parent.parent / "src"
+        env["PYTHONPATH"] = f"{src}{os.pathsep}" + env.get("PYTHONPATH", "")
+        env.pop("REPRO_TELEMETRY_DIR", None)
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", "explore", str(spec_path),
+             "--study-dir", str(study_dir), "--resume"],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert done.returncode == 2
+        assert str(damaged) in done.stderr
+        assert "Traceback" not in done.stderr
+
+    def test_runner_and_snapshot_read_killed_study_alike(self, tmp_path):
+        from repro.lineage import ManifestSnapshot
+
+        spec = single_group_spec()
+        study_dir = tmp_path / "study"
+        run_and_kill(spec, study_dir, after_points=2)
+        with (study_dir / "manifest.segment.jsonl").open("a") as handle:
+            handle.write('{"kind": "point", "record": {"point_')  # torn write
+        snapshot = ManifestSnapshot.from_file(study_dir)
+        assert any("torn" in warning for warning in snapshot.warnings)
+        runner = StudyRunner(spec, study_dir=study_dir)
+        stored = runner._load_checkpoint()
+        assert len(stored) == 2
+        assert list(snapshot.points) == list(stored)
+        for point_id, record in stored.items():
+            assert snapshot.points[point_id].metrics == record.metrics
+        resumed = runner.run(resume=True)
+        assert resumed.resumed_points == 2
+
+    def test_warm_serial_study_attributes_hits_to_disk(self, tmp_path):
+        spec = tiny_spec()
+        cache_dir = tmp_path / "cache"
+        StudyRunner(spec, cache_dir=cache_dir).run()
+        warm = StudyRunner(spec, cache_dir=cache_dir).run()
+        assert warm.stats.layers_simulated == 0
+        assert warm.stats.cache_hits > 0
+        assert warm.stats.disk_hits == warm.stats.cache_hits
+
     def _checkpoint_cost(self, tmp_path, name, rows, monkeypatch):
         spec = tiny_spec(name=name, knobs={"rows": rows}, scenarios=["traced"])
         counts = {"manifest_replaces": 0, "fsyncs": 0, "segment_bytes": 0}
