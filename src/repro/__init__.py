@@ -25,8 +25,8 @@ Sparsity to Accelerate Deep Neural Network Training and Inference"
     convolutions.
 
 ``repro.memory``
-    Tensor layout, transposers, on-chip SRAM, off-chip DRAM and zero
-    compression models, plus the :class:`~repro.memory.hierarchy.MemoryHierarchy`
+    Memory-traffic counting, off-chip DRAM and zero compression models,
+    plus the :class:`~repro.memory.hierarchy.MemoryHierarchy`
     bandwidth/capacity model the cycle simulator enforces (unbounded by
     default; finite hierarchies add stall cycles and memory-bound verdicts).
 

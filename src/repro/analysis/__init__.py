@@ -1,4 +1,5 @@
-"""Result aggregation and report formatting for the benchmark harness."""
+"""Result analysis: the geometric mean, Pareto frontiers, the roofline
+report and table formatting."""
 
 from repro.analysis.frontier import (
     Objective,
@@ -6,7 +7,7 @@ from repro.analysis.frontier import (
     dominates,
     pareto_frontier,
 )
-from repro.analysis.metrics import geometric_mean, arithmetic_mean, summarize_speedups
+from repro.analysis.metrics import geometric_mean
 from repro.analysis.roofline import (
     RooflinePoint,
     RooflineReport,
@@ -23,8 +24,6 @@ from repro.analysis.reporting import (
 
 __all__ = [
     "geometric_mean",
-    "arithmetic_mean",
-    "summarize_speedups",
     "format_table",
     "format_series",
     "format_engine_stats",

@@ -12,9 +12,8 @@ and 3.1-3.7 of the paper:
   inter-PE synchronisation stalls.
 * :mod:`repro.core.accelerator` — the 16-tile accelerator.
 * :mod:`repro.core.backside` — pre-scheduling (compressed, scheduled-form
-  storage) and the back-side scheduler.
-* :mod:`repro.core.power_gating` — per-layer sparsity monitoring and
-  power-gating decisions for models with no sparsity.
+  storage).
+* :mod:`repro.core.dataflow` — work partitioning across tiles.
 * :mod:`repro.core.config` — Table 2 default configurations.
 """
 
@@ -24,9 +23,8 @@ from repro.core.scheduler import HardwareScheduler, Schedule, BatchScheduler
 from repro.core.pe import BaselinePE, TensorDashPE
 from repro.core.tile import BaselineTile, TensorDashTile
 from repro.core.accelerator import Accelerator
-from repro.core.backside import PreScheduler, ScheduledTensor, BacksideScheduler
+from repro.core.backside import PreScheduler, ScheduledTensor
 from repro.core.dataflow import TileWorkPartitioner, MultiTileResult
-from repro.core.power_gating import SparsityMonitor, PowerGateController
 
 __all__ = [
     "AcceleratorConfig",
@@ -43,9 +41,6 @@ __all__ = [
     "Accelerator",
     "PreScheduler",
     "ScheduledTensor",
-    "BacksideScheduler",
     "TileWorkPartitioner",
     "MultiTileResult",
-    "SparsityMonitor",
-    "PowerGateController",
 ]

@@ -1,4 +1,4 @@
-"""Pre-scheduling, scheduled-form storage and the back-side scheduler.
+"""Pre-scheduling and scheduled-form storage.
 
 Sections 3.6 and 3.7 of the paper describe storing tensors in *scheduled*
 form: each stored value is a pair ``(v, idx)`` where ``idx`` is the
@@ -7,16 +7,12 @@ value with one-side scheduling.  Storing only the non-zero values this way
 compresses the tensor, reduces on-chip accesses and amplifies effective
 memory capacity; a mirror multiplexer stage (Fig. 12) expands the tensor
 back to dense form before it enters a PE's scratchpads.
-
-The :class:`BacksideScheduler` performs the same scheduling at the *output*
-of the PEs (Section 3.7), optionally iteratively (one level per cycle) to
-reduce hardware cost.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
@@ -143,39 +139,3 @@ class PreScheduler:
     def roundtrip(self, stream: np.ndarray) -> np.ndarray:
         """Compress then decompress (convenience for tests)."""
         return self.decompress(self.compress(stream))
-
-
-class BacksideScheduler:
-    """Scheduler placed at the PE outputs (Section 3.7).
-
-    Output values are produced over several cycles, so the back-side
-    scheduler can be iterative: it reuses a single level of the
-    hierarchical scheduler over ``levels`` cycles to schedule one block of
-    output values, trading latency for area.  The schedule produced is
-    identical to the front-end scheduler's; only the number of cycles to
-    produce it differs.
-    """
-
-    def __init__(self, pattern: Optional[ConnectivityPattern] = None, iterative: bool = True):
-        self.pattern = pattern or ConnectivityPattern()
-        self.pre_scheduler = PreScheduler(self.pattern)
-        self.iterative = iterative
-
-    def schedule_output_block(self, block: np.ndarray) -> Tuple[ScheduledTensor, int]:
-        """Schedule a block of produced outputs into stored (scheduled) form.
-
-        Returns the scheduled tensor and the number of scheduler cycles
-        spent (``levels`` per packed row when iterative, 1 otherwise).
-        """
-        scheduled = self.pre_scheduler.compress(block)
-        levels = len(self.pattern.level_groups())
-        cycles_per_row = levels if self.iterative else 1
-        return scheduled, scheduled.scheduled_row_count * cycles_per_row
-
-    def storage_savings(self, block: np.ndarray) -> float:
-        """Fraction of value slots saved by storing the block in scheduled form."""
-        scheduled = self.pre_scheduler.compress(block)
-        dense_slots = block.shape[0] * block.shape[1]
-        if dense_slots == 0:
-            return 0.0
-        return 1.0 - scheduled.footprint_values() / dense_slots

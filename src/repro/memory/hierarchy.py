@@ -50,7 +50,7 @@ from typing import Optional
 
 from repro.memory.traffic import MemoryTraffic
 
-#: Width of one SRAM bank access in bytes (matches ``SRAMBank``).
+#: Width of one SRAM bank access in bytes (one 16-lane row of FP32 values).
 SRAM_WIDTH_BYTES = 64
 
 #: The three shared on-chip memories (AM, BM, CM) a tile reads/writes.

@@ -11,14 +11,6 @@ def kaiming_normal(shape: tuple, fan_in: int, rng: np.random.Generator) -> np.nd
     return rng.normal(0.0, std, size=shape).astype(np.float32)
 
 
-def xavier_uniform(
-    shape: tuple, fan_in: int, fan_out: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Glorot-uniform initialisation suited to tanh/sigmoid networks."""
-    limit = np.sqrt(6.0 / max(fan_in + fan_out, 1))
-    return rng.uniform(-limit, limit, size=shape).astype(np.float32)
-
-
 def zeros(shape: tuple) -> np.ndarray:
     """All-zero initialisation (biases, BN shift)."""
     return np.zeros(shape, dtype=np.float32)

@@ -1,4 +1,9 @@
-"""Simulation layer: operand-stream extraction, cycle simulation and runners."""
+"""Simulation layer: operand-stream extraction, cycle simulation, the
+inference (pre-scheduling) model and the experiment runner.
+
+The potential speedup of Fig. 1 is
+:meth:`~repro.simulation.runner.ExperimentRunner.potential_speedups_from_trace`.
+"""
 
 from repro.simulation.streams import (
     StreamExtractor,
@@ -6,8 +11,7 @@ from repro.simulation.streams import (
     input_gradient_streams,
     weight_gradient_streams,
 )
-from repro.simulation.speedup import potential_speedup, operation_sparsity
-from repro.simulation.cycle_sim import LayerSimulator, LayerResult, OperationKind
+from repro.simulation.cycle_sim import LayerSimulator, LayerResult
 from repro.simulation.inference import FullyConnectedInference, conv_activation_groups
 from repro.simulation.runner import ExperimentRunner, ModelResult, simulate_model_training
 
@@ -16,11 +20,8 @@ __all__ = [
     "forward_streams",
     "input_gradient_streams",
     "weight_gradient_streams",
-    "potential_speedup",
-    "operation_sparsity",
     "LayerSimulator",
     "LayerResult",
-    "OperationKind",
     "FullyConnectedInference",
     "conv_activation_groups",
     "ExperimentRunner",

@@ -34,7 +34,6 @@ leaves every cycle count bit-identical to the compute-only model.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -54,14 +53,6 @@ def traced_layers(traces: Sequence[LayerTrace]) -> List[LayerTrace]:
     layers are simulated.
     """
     return [t for t in traces if t.activation_mask is not None]
-
-
-class OperationKind(str, Enum):
-    """The three per-layer training operations."""
-
-    FORWARD = "AxW"
-    INPUT_GRADIENT = "AxG"
-    WEIGHT_GRADIENT = "WxG"
 
 
 @dataclass

@@ -31,7 +31,6 @@ from repro.core.config import AcceleratorConfig
 from repro.energy.accounting import EfficiencyReport, EnergyAccountant
 from repro.memory.traffic import MemoryTraffic
 from repro.simulation.cycle_sim import LayerResult, traced_layers
-from repro.simulation.speedup import potential_speedup_from_sparsity
 from repro.training.tracing import EpochTrace, TrainingTrace
 
 

@@ -1,87 +1,10 @@
-"""Potential (work-reduction) speedup analytics — the Fig. 1 measurement.
+"""Closed-form speedup under a shared memory-cycle floor.
 
-The potential speedup of an operation is ``all MACs / remaining MACs``
-after eliminating those whose targeted operand is zero.  It is an upper
-bound on what any zero-skipping hardware could achieve; the cycle
-simulator reports how much of it TensorDash's restricted interconnect
-actually captures.
+The potential (work-reduction) speedup of Fig. 1 is computed from the
+trace by :meth:`repro.simulation.runner.ExperimentRunner.potential_speedups_from_trace`.
 """
 
 from __future__ import annotations
-
-from typing import Dict, Optional
-
-import numpy as np
-
-
-def tensor_sparsity(tensor: np.ndarray) -> float:
-    """Fraction of zero values in a tensor."""
-    tensor = np.asarray(tensor)
-    if tensor.size == 0:
-        return 0.0
-    return 1.0 - np.count_nonzero(tensor) / tensor.size
-
-
-def potential_speedup_from_sparsity(sparsity: float) -> float:
-    """``all MACs / remaining MACs`` when a fraction ``sparsity`` is skipped."""
-    if not 0.0 <= sparsity <= 1.0:
-        raise ValueError(f"sparsity must be in [0, 1], got {sparsity}")
-    remaining = 1.0 - sparsity
-    if remaining <= 0.0:
-        return float("inf")
-    return 1.0 / remaining
-
-
-def operation_sparsity(
-    operation: str,
-    activations: Optional[np.ndarray],
-    weights: Optional[np.ndarray],
-    output_gradients: Optional[np.ndarray],
-) -> float:
-    """Sparsity of the targeted operand of one of the three operations.
-
-    * ``AxW``: the activations (weights show negligible sparsity unless the
-      training method prunes, in which case the activation side still
-      carries the larger share per the paper's policy).
-    * ``AxG``: the output gradients.
-    * ``WxG``: GO or A, whichever is sparser.
-    """
-    if operation == "AxW":
-        if activations is None:
-            return 0.0
-        return tensor_sparsity(activations)
-    if operation == "AxG":
-        if output_gradients is None:
-            return 0.0
-        return tensor_sparsity(output_gradients)
-    if operation == "WxG":
-        candidates = []
-        if output_gradients is not None:
-            candidates.append(tensor_sparsity(output_gradients))
-        if activations is not None:
-            candidates.append(tensor_sparsity(activations))
-        return max(candidates) if candidates else 0.0
-    raise ValueError(f"unknown operation {operation!r}; expected AxW, AxG or WxG")
-
-
-def potential_speedup(
-    activations: Optional[np.ndarray],
-    weights: Optional[np.ndarray],
-    output_gradients: Optional[np.ndarray],
-) -> Dict[str, float]:
-    """Potential speedup per operation plus the whole-layer figure.
-
-    The three operations perform roughly the same number of MACs (paper
-    Section 2), so the total is the harmonic combination of the three with
-    equal weights.
-    """
-    speedups = {}
-    for operation in ("AxW", "AxG", "WxG"):
-        sparsity = operation_sparsity(operation, activations, weights, output_gradients)
-        speedups[operation] = potential_speedup_from_sparsity(sparsity)
-    inverse_sum = sum(1.0 / speedups[op] for op in ("AxW", "AxG", "WxG"))
-    speedups["Total"] = 3.0 / inverse_sum if inverse_sum else 1.0
-    return speedups
 
 
 def bandwidth_bound_speedup(
@@ -107,22 +30,3 @@ def bandwidth_bound_speedup(
     baseline = max(baseline_compute_cycles, memory_cycles)
     tensordash = max(tensordash_compute_cycles, memory_cycles)
     return baseline / tensordash if tensordash else 1.0
-
-
-def combine_speedups(per_operation_cycles: Dict[str, Dict[str, float]]) -> Dict[str, float]:
-    """Combine per-operation baseline/TensorDash cycles into overall speedups.
-
-    ``per_operation_cycles`` maps operation name to a dict with
-    ``"baseline"`` and ``"tensordash"`` cycle totals.
-    """
-    result: Dict[str, float] = {}
-    total_baseline = 0.0
-    total_tensordash = 0.0
-    for operation, cycles in per_operation_cycles.items():
-        baseline = cycles["baseline"]
-        tensordash = cycles["tensordash"]
-        result[operation] = baseline / tensordash if tensordash else 1.0
-        total_baseline += baseline
-        total_tensordash += tensordash
-    result["Total"] = total_baseline / total_tensordash if total_tensordash else 1.0
-    return result

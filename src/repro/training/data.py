@@ -97,26 +97,3 @@ class SyntheticSequenceDataset:
             self.vocab_size, size=(batch_size, self.sequence_length + 1), p=self._token_probs
         )
         return tokens[:, :-1].astype(np.int64), tokens[:, 1:].astype(np.int64)
-
-
-class SyntheticPairDataset:
-    """Premise/hypothesis pairs for the SNLI stand-in (3-way classification)."""
-
-    def __init__(
-        self,
-        vocab_size: int = 512,
-        sequence_length: int = 16,
-        seed: int = 0,
-    ):
-        self.base = SyntheticSequenceDataset(
-            vocab_size=vocab_size,
-            sequence_length=sequence_length,
-            num_classes=3,
-            seed=seed,
-        )
-
-    def sample_batch(self, batch_size: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Draw a batch of (premises, hypotheses, labels)."""
-        premises, labels = self.base.sample_batch(batch_size)
-        hypotheses, _ = self.base.sample_batch(batch_size)
-        return premises, hypotheses, labels

@@ -9,6 +9,7 @@ registry itself is checked for coherence (every watched path and bound
 is also a schema requirement the validator enforces).
 """
 
+import ast
 import json
 import math
 from pathlib import Path
@@ -75,6 +76,38 @@ def test_watched_paths_resolve_in_the_committed_file(name):
         if metric.bound is not None:
             bound = resolve_path(payload, metric.bound)
             assert isinstance(bound, (int, float)) and math.isfinite(bound)
+
+
+def _repro_definitions():
+    """Function names defined in each ``src/repro`` module, keyed by basename."""
+    defined = {}
+    for path in (REPO_ROOT / "src" / "repro").rglob("*.py"):
+        names = defined.setdefault(path.name, set())
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names.add(node.name)
+    return defined
+
+
+def test_profile_hotspots_name_live_functions():
+    """A hotspot in a repro module must name a function that file defines.
+
+    Entries are ``file:line:name`` with the file's basename; line numbers
+    drift with every edit and are ignored.  A stale entry means the
+    committed profile predates the code it claims to describe.
+    """
+    payload = json.loads((REPO_ROOT / "BENCH_profile.json").read_text())
+    defined = _repro_definitions()
+    stale = []
+    for key, entries in payload.items():
+        if not key.startswith("hotspots_by_"):
+            continue
+        for entry in entries:
+            filename, _, name = entry["function"].split(":", 2)
+            if filename in defined and not name.startswith("<") \
+                    and name not in defined[filename]:
+                stale.append((key, entry["function"]))
+    assert not stale
 
 
 class TestValidator:

@@ -1,4 +1,4 @@
-"""Tests for SRAM/DRAM models, zero compression and traffic counting."""
+"""Tests for the DRAM model, zero compression and traffic counting."""
 
 import numpy as np
 import pytest
@@ -9,50 +9,7 @@ from repro.memory.compression import (
     run_length_encode,
 )
 from repro.memory.dram import DRAMModel
-from repro.memory.sram import BankedSRAM, Scratchpad, SRAMBank
 from repro.memory.traffic import MemoryTraffic, TrafficCounter
-
-
-class TestSRAM:
-    def test_bank_access_counters(self):
-        bank = SRAMBank(capacity_bytes=1024)
-        bank.read(3)
-        bank.write(2)
-        assert bank.total_accesses == 5
-        assert bank.bytes_read() == 3 * 64
-        assert bank.bytes_written() == 2 * 64
-
-    def test_bank_rejects_negative_counts(self):
-        with pytest.raises(ValueError):
-            SRAMBank(capacity_bytes=1024).read(-1)
-
-    def test_banked_sram_capacity(self):
-        sram = BankedSRAM("AM", banks=4, kb_per_bank=256)
-        assert sram.capacity_bytes == 4 * 256 * 1024
-
-    def test_banked_sram_stripes_accesses(self):
-        sram = BankedSRAM("AM", banks=4, kb_per_bank=256, width_bytes=64)
-        accesses = sram.access(64 * 8)
-        assert accesses == 8
-        assert sram.total_reads == 8
-        per_bank = [bank.reads for bank in sram.banks]
-        assert max(per_bank) - min(per_bank) <= 1
-
-    def test_banked_sram_write_path(self):
-        sram = BankedSRAM("CM", banks=2, kb_per_bank=16)
-        sram.access(128, write=True)
-        assert sram.total_writes == 2
-        assert sram.total_reads == 0
-
-    def test_zero_byte_access(self):
-        sram = BankedSRAM("AM")
-        assert sram.access(0) == 0
-
-    def test_scratchpad_refill_and_spill(self):
-        scratchpad = Scratchpad("A-pad")
-        scratchpad.refill_rows(rows=3, row_bytes=64)
-        scratchpad.spill_outputs(values=16, value_bytes=4)
-        assert scratchpad.total_accesses == 3 + 1
 
 
 class TestDRAM:

@@ -1,6 +1,5 @@
 """Property-based tests for memory-side invariants.
 
-* The 16x16 grouped layout is lossless for arbitrary tensor shapes.
 * Zero run-length coding round-trips arbitrary sparse streams.
 * Pre-scheduling (scheduled-form storage) round-trips arbitrary operand
   streams and never stores more rows than the dense form.
@@ -9,24 +8,9 @@
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
 from repro.core.backside import PreScheduler
 from repro.memory.compression import run_length_decode, run_length_encode
-from repro.memory.layout import GroupedTensorLayout
-
-
-@st.composite
-def small_tensors(draw):
-    channels = draw(st.integers(min_value=1, max_value=40))
-    height = draw(st.integers(min_value=1, max_value=20))
-    width = draw(st.integers(min_value=1, max_value=6))
-    seed = draw(st.integers(min_value=0, max_value=2**16))
-    sparsity = draw(st.floats(min_value=0.0, max_value=1.0))
-    rng = np.random.default_rng(seed)
-    tensor = rng.normal(size=(channels, height, width)).astype(np.float32)
-    tensor[rng.random(tensor.shape) < sparsity] = 0.0
-    return tensor
 
 
 @st.composite
@@ -49,23 +33,6 @@ def operand_streams(draw, lanes=16, max_rows=30):
     stream = rng.uniform(0.5, 2.0, size=(rows, lanes))
     stream[rng.random(stream.shape) < sparsity] = 0.0
     return stream
-
-
-class TestLayoutProperties:
-    @settings(max_examples=60, deadline=None)
-    @given(small_tensors())
-    def test_grouped_layout_roundtrip(self, tensor):
-        layout = GroupedTensorLayout()
-        packed = layout.group_all(tensor)
-        assert np.allclose(layout.ungroup(packed, tensor.shape), tensor)
-
-    @settings(max_examples=60, deadline=None)
-    @given(small_tensors())
-    def test_group_count_matches_enumeration(self, tensor):
-        layout = GroupedTensorLayout()
-        assert layout.group_count(tensor.shape) == len(
-            layout.groups_for_shape(tensor.shape)
-        )
 
 
 class TestCompressionProperties:

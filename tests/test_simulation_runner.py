@@ -8,6 +8,7 @@ from repro.models import build_alexnet, build_gcn
 from repro.nn.optim import MomentumSGD
 from repro.simulation.runner import ExperimentRunner, simulate_model_training
 from repro.training import SyntheticImageDataset, SyntheticSequenceDataset, Trainer, TrainingConfig
+from repro.training.tracing import EpochTrace, LayerTrace
 
 
 @pytest.fixture(scope="module")
@@ -67,6 +68,26 @@ class TestExperimentRunner:
         )
         assert set(potentials) == {"AxW", "AxG", "WxG", "Total"}
         assert all(v >= 1.0 for v in potentials.values())
+
+    def test_potential_speedups_from_trace_is_mac_weighted(self):
+        # The "potential" column of `repro simulate`: per operation, total
+        # MACs over the MACs whose targeted operand (A, GO, the sparser of
+        # the two) is non-zero; layers without MACs are skipped.
+        def layer(name, macs, activations, gradients):
+            return LayerTrace(name, "conv", macs=macs, activation_sparsity=activations,
+                              gradient_sparsity=gradients)
+
+        epoch = EpochTrace(epoch=0, layers=[
+            layer("a", 100, activations=0.75, gradients=0.5),   # remaining 25/50/25
+            layer("b", 300, activations=0.25, gradients=0.5),   # remaining 225/150/150
+            layer("c", 0, activations=0.875, gradients=0.875),
+        ])
+        assert ExperimentRunner.potential_speedups_from_trace(epoch) == {
+            "AxW": 400 / 250,
+            "AxG": 400 / 200,
+            "WxG": 400 / 175,
+            "Total": 1200 / 625,
+        }
 
     def test_energy_report_structure(self, alexnet_trace):
         runner = ExperimentRunner(max_groups=32)

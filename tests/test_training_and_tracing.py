@@ -7,7 +7,6 @@ from repro.models import build_alexnet, build_gcn
 from repro.nn.optim import MomentumSGD
 from repro.training import (
     SyntheticImageDataset,
-    SyntheticPairDataset,
     SyntheticSequenceDataset,
     TraceCollector,
     Trainer,
@@ -53,12 +52,6 @@ class TestSyntheticDatasets:
         dataset = SyntheticSequenceDataset(vocab_size=100, sequence_length=10)
         inputs, targets = dataset.sample_lm_batch(4)
         assert inputs.shape == targets.shape == (4, 10)
-
-    def test_pair_dataset(self):
-        dataset = SyntheticPairDataset(vocab_size=64, sequence_length=8)
-        premises, hypotheses, labels = dataset.sample_batch(4)
-        assert premises.shape == hypotheses.shape == (4, 8)
-        assert np.all(labels < 3)
 
     def test_dataset_len(self):
         assert len(SyntheticImageDataset(num_classes=10, samples_per_class=64)) == 640
