@@ -38,6 +38,7 @@ import json
 import os
 import tempfile
 import time
+from dataclasses import replace
 from pathlib import Path
 
 from benchmarks.common import print_header, study_kwargs
@@ -99,10 +100,7 @@ def run_check() -> int:
         floor = float(recorded["perf_gate"]["min_parallel_vs_serial"])
     except (OSError, KeyError, ValueError):
         print(f"no recorded floor found; using fallback {floor}x")
-    spec = StudySpec.from_json(SPEC_PATH)
-    spec.mode = "random"
-    spec.sample = CHECK_SAMPLE
-    spec.validate()
+    spec = replace(StudySpec.from_json(SPEC_PATH), mode="random", sample=CHECK_SAMPLE)
     cpu_count = os.cpu_count() or 1
     enforced = cpu_count >= STUDY_GATE_MIN_CPUS
 

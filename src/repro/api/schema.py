@@ -14,6 +14,11 @@ types share the same contract:
 * ``from_dict(to_dict(x)) == x`` round-trips exactly, including through
   ``json.dumps``/``json.loads``.
 
+A field's type is its annotation and its bounds are its
+``field(metadata=...)``; :func:`repro._fields.check_fields` derives every
+per-field check from those on construction, so a type's ``validate()``
+holds only the rules that relate two fields or consult another module.
+
 The schema is the wire format of the ``repro serve`` batch service and
 the argument format of :meth:`repro.api.Session.submit`; the CLI builds
 these requests from its flags, so every entry point speaks one language.
@@ -24,9 +29,17 @@ majors are rejected with a clear error instead of being misread.
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass, field
 from typing import Any, ClassVar, Dict, List, Optional
+
+from repro._fields import (
+    ABOVE_ZERO,
+    AT_LEAST_ONE,
+    NON_NEGATIVE,
+    NONEMPTY,
+    SchemaError,
+    check_fields,
+)
 
 #: Version of the request/result wire format.  Incremented on breaking
 #: changes; ``from_dict`` rejects documents from newer versions.
@@ -35,17 +48,6 @@ SCHEMA_VERSION = 1
 #: Datatypes the PE model supports (mirrors the CLI choices).
 DATATYPES = ("fp32", "bfloat16")
 
-
-class SchemaError(ValueError):
-    """An invalid request/result document.  Always names the bad field."""
-
-    def __init__(self, field_name: str, message: str):
-        self.field = field_name
-        super().__init__(f"{field_name}: {message}")
-
-
-# ----------------------------------------------------------------------
-# validation helpers
 
 def _plain(value: Any) -> Any:
     """Copy ``value`` into plain-JSON shape (tuples -> lists, dict copies)."""
@@ -56,54 +58,36 @@ def _plain(value: Any) -> Any:
     return value
 
 
-def _check_int(owner: str, name: str, value: Any, minimum: int = 1) -> None:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise SchemaError(f"{owner}.{name}", f"expected an integer, got {value!r}")
-    if value < minimum:
-        raise SchemaError(f"{owner}.{name}", f"must be >= {minimum}, got {value}")
-
-
-def _check_optional_number(
-    owner: str, name: str, value: Any, minimum: float = 0.0
-) -> None:
-    if value is None:
-        return
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError(f"{owner}.{name}", f"expected a number, got {value!r}")
-    if not math.isfinite(value):
-        # NaN slips past ordering comparisons (NaN <= x is False), and
-        # neither NaN nor inf is representable in strict JSON.
-        raise SchemaError(f"{owner}.{name}", f"expected a finite number, got {value!r}")
-    if value <= minimum:
-        raise SchemaError(f"{owner}.{name}", f"must be > {minimum:g}, got {value}")
-
-
-def _check_str(owner: str, name: str, value: Any) -> None:
-    if not isinstance(value, str) or not value:
-        raise SchemaError(f"{owner}.{name}", f"expected a non-empty string, got {value!r}")
-
-
-def _check_model(owner: str, value: Any) -> None:
-    _check_str(owner, "model", value)
-    from repro.models.registry import available_models
-
-    if value not in available_models():
+def _pop_version(name: str, payload: Dict[str, Any]) -> None:
+    """Remove ``schema_version`` from ``payload``, refusing newer majors."""
+    version = payload.pop("schema_version", SCHEMA_VERSION)
+    if not isinstance(version, int) or isinstance(version, bool) or version < 1:
+        raise SchemaError(f"{name}.schema_version", f"invalid version {version!r}")
+    if version > SCHEMA_VERSION:
         raise SchemaError(
-            f"{owner}.model",
-            f"unknown workload {value!r}; known: {available_models()}",
+            f"{name}.schema_version",
+            f"document version {version} is newer than this library "
+            f"supports (schema {SCHEMA_VERSION}); upgrade repro",
         )
 
 
-def _check_number_map(owner: str, name: str, value: Any) -> None:
-    if not isinstance(value, dict):
-        raise SchemaError(f"{owner}.{name}", f"expected an object, got {value!r}")
-    for key, item in value.items():
-        if not isinstance(key, str):
-            raise SchemaError(f"{owner}.{name}", f"non-string key {key!r}")
-        if isinstance(item, bool) or not isinstance(item, (int, float)):
-            raise SchemaError(
-                f"{owner}.{name}", f"value for {key!r} is not a number: {item!r}"
-            )
+def _require_model(owner: str, model: str) -> None:
+    from repro.models.registry import available_models
+
+    if model not in available_models():
+        raise SchemaError(
+            f"{owner}.model",
+            f"unknown workload {model!r}; known: {available_models()}",
+        )
+
+
+def _require_objectives(owner: str, names: List[str]) -> None:
+    from repro.explore.spec import parse_objectives
+
+    try:
+        parse_objectives(names)
+    except ValueError as exc:
+        raise SchemaError(f"{owner}.objectives", str(exc)) from exc
 
 
 # ----------------------------------------------------------------------
@@ -116,8 +100,9 @@ class _ApiModel:
     #: Wire tag for polymorphic dispatch; ``None`` for context-typed models.
     kind: ClassVar[Optional[str]] = None
 
-    def validate(self) -> None:   # pragma: no cover - overridden
-        """Raise :class:`SchemaError` on the first invalid field."""
+    def validate(self) -> None:
+        """Raise :class:`SchemaError` on a rule that relates two fields or
+        consults another module (per-field rules are checked before)."""
 
     def to_dict(self) -> Dict[str, Any]:
         """Plain-JSON document; ``from_dict`` round-trips it exactly."""
@@ -139,15 +124,7 @@ class _ApiModel:
         kind = payload.pop("kind", None)
         if kind is not None and cls.kind is not None and kind != cls.kind:
             raise SchemaError(f"{name}.kind", f"expected {cls.kind!r}, got {kind!r}")
-        version = payload.pop("schema_version", SCHEMA_VERSION)
-        if not isinstance(version, int) or isinstance(version, bool) or version < 1:
-            raise SchemaError(f"{name}.schema_version", f"invalid version {version!r}")
-        if version > SCHEMA_VERSION:
-            raise SchemaError(
-                f"{name}.schema_version",
-                f"document version {version} is newer than this library "
-                f"supports (schema {SCHEMA_VERSION}); upgrade repro",
-            )
+        _pop_version(name, payload)
         specs = {spec.name: spec for spec in dataclasses.fields(cls)}
         unknown = sorted(set(payload) - set(specs))
         if unknown:
@@ -166,6 +143,7 @@ class _ApiModel:
         return cls(**payload)
 
     def __post_init__(self) -> None:
+        check_fields(self)
         self.validate()
 
 
@@ -179,26 +157,16 @@ class SimulateRequest(_ApiModel):
     kind: ClassVar[str] = "simulate"
 
     model: str
-    epochs: int = 2
-    batches_per_epoch: int = 2
-    batch_size: int = 8
-    max_groups: int = 64
-    datatype: str = "fp32"
+    epochs: int = field(default=2, metadata=AT_LEAST_ONE)
+    batches_per_epoch: int = field(default=2, metadata=AT_LEAST_ONE)
+    batch_size: int = field(default=8, metadata=AT_LEAST_ONE)
+    max_groups: int = field(default=64, metadata=AT_LEAST_ONE)
+    datatype: str = field(default="fp32", metadata={"choices": DATATYPES})
     #: ``None`` means "use the session's default seed".
-    seed: Optional[int] = None
+    seed: Optional[int] = field(default=None, metadata=NON_NEGATIVE)
 
     def validate(self) -> None:
-        owner = type(self).__name__
-        _check_model(owner, self.model)
-        for name in ("epochs", "batches_per_epoch", "batch_size", "max_groups"):
-            _check_int(owner, name, getattr(self, name))
-        if self.datatype not in DATATYPES:
-            raise SchemaError(
-                f"{owner}.datatype",
-                f"expected one of {list(DATATYPES)}, got {self.datatype!r}",
-            )
-        if self.seed is not None:
-            _check_int(owner, "seed", self.seed, minimum=-(2 ** 31))
+        _require_model(type(self).__name__, self.model)
 
 
 @dataclass
@@ -212,17 +180,9 @@ class RooflineRequest(SimulateRequest):
 
     kind: ClassVar[str] = "roofline"
 
-    dram_bandwidth_gbps: Optional[float] = None
-    sram_bandwidth_gbps: Optional[float] = None
-    sram_kb: Optional[int] = None
-
-    def validate(self) -> None:
-        super().validate()
-        owner = type(self).__name__
-        _check_optional_number(owner, "dram_bandwidth_gbps", self.dram_bandwidth_gbps)
-        _check_optional_number(owner, "sram_bandwidth_gbps", self.sram_bandwidth_gbps)
-        if self.sram_kb is not None:
-            _check_int(owner, "sram_kb", self.sram_kb)
+    dram_bandwidth_gbps: Optional[float] = field(default=None, metadata=ABOVE_ZERO)
+    sram_bandwidth_gbps: Optional[float] = field(default=None, metadata=ABOVE_ZERO)
+    sram_kb: Optional[int] = field(default=None, metadata=AT_LEAST_ONE)
 
 
 @dataclass
@@ -241,27 +201,22 @@ class ScaleRequest(SimulateRequest):
 
     kind: ClassVar[str] = "scale"
 
-    num_devices: int = 2
+    num_devices: int = field(default=2, metadata=AT_LEAST_ONE)
     partition: str = "data"
-    link_gbps: Optional[float] = 25.0
-    hop_latency_cycles: int = 500
-    trace_max_batch: Optional[int] = None
+    link_gbps: Optional[float] = field(default=25.0, metadata=ABOVE_ZERO)
+    hop_latency_cycles: int = field(default=500, metadata=NON_NEGATIVE)
+    trace_max_batch: Optional[int] = field(default=None, metadata=AT_LEAST_ONE)
 
     def validate(self) -> None:
         super().validate()
-        owner = type(self).__name__
+        # Imported here: repro.scale is not loaded by ``import repro.cli``.
         from repro.scale.partition import PARTITIONS
 
-        _check_int(owner, "num_devices", self.num_devices)
         if self.partition not in PARTITIONS:
             raise SchemaError(
-                f"{owner}.partition",
+                f"{type(self).__name__}.partition",
                 f"expected one of {list(PARTITIONS)}, got {self.partition!r}",
             )
-        _check_optional_number(owner, "link_gbps", self.link_gbps)
-        _check_int(owner, "hop_latency_cycles", self.hop_latency_cycles, minimum=0)
-        if self.trace_max_batch is not None:
-            _check_int(owner, "trace_max_batch", self.trace_max_batch)
 
 
 @dataclass
@@ -273,21 +228,20 @@ class SweepRequest(_ApiModel):
     model: str
     knob: str = "rows"
     values: List[Any] = field(default_factory=lambda: [1, 4, 8, 16])
-    epochs: int = 2
-    batches_per_epoch: int = 2
-    batch_size: int = 8
-    max_groups: int = 48
-    seed: Optional[int] = None
+    epochs: int = field(default=2, metadata=AT_LEAST_ONE)
+    batches_per_epoch: int = field(default=2, metadata=AT_LEAST_ONE)
+    batch_size: int = field(default=8, metadata=AT_LEAST_ONE)
+    max_groups: int = field(default=48, metadata=AT_LEAST_ONE)
+    seed: Optional[int] = field(default=None, metadata=NON_NEGATIVE)
     #: See :class:`ScaleRequest`; raise it when sweeping ``num_devices``.
-    trace_max_batch: Optional[int] = None
+    trace_max_batch: Optional[int] = field(default=None, metadata=AT_LEAST_ONE)
     #: Worker processes for the sweep's study execution; ``None`` defers
     #: to the session's resolved ``study_jobs`` (1 = serial).
-    study_jobs: Optional[int] = None
+    study_jobs: Optional[int] = field(default=None, metadata=AT_LEAST_ONE)
 
     def validate(self) -> None:
         owner = type(self).__name__
-        _check_model(owner, self.model)
-        from repro.core.config import AcceleratorConfig
+        _require_model(owner, self.model)
         from repro.explore.spec import KNOBS, SCALE_KNOBS
 
         if self.knob not in KNOBS and self.knob not in SCALE_KNOBS:
@@ -296,31 +250,36 @@ class SweepRequest(_ApiModel):
                 f"unknown knob {self.knob!r}; known: "
                 f"{sorted(KNOBS) + sorted(SCALE_KNOBS)}",
             )
-        if not isinstance(self.values, (list, tuple)) or not self.values:
-            raise SchemaError(
-                f"{owner}.values",
-                f"expected a non-empty list of knob values, got {self.values!r}",
+        # The knob values are checked where every study checks them.
+        self.resolved_spec()
+
+    def resolved_spec(self, default_seed: int = 0):
+        """The one-knob :class:`repro.explore.StudySpec` this sweep runs.
+
+        ``default_seed`` stands in for an unset ``seed`` (the session
+        passes its own).
+        """
+        from repro.explore.spec import SCALE_KNOBS, StudySpec
+
+        objectives = ["speedup", "core_energy_efficiency", "energy_efficiency"]
+        if self.knob in SCALE_KNOBS:
+            # Scaling sweeps table the scaling curve, not the energy one.
+            objectives = ["scaled_speedup", "scaling_efficiency", "comm_fraction"]
+        try:
+            return StudySpec(
+                name=f"{self.model}-{self.knob}-sweep",
+                workloads=[self.model],
+                knobs={self.knob: list(self.values)},
+                epochs=self.epochs,
+                batches_per_epoch=self.batches_per_epoch,
+                batch_size=self.batch_size,
+                max_groups=self.max_groups,
+                trace_max_batch=self.trace_max_batch,
+                seed=default_seed if self.seed is None else self.seed,
+                objectives=objectives,
             )
-        self.values = list(self.values)
-        for value in self.values:
-            try:
-                if self.knob in KNOBS:
-                    KNOBS[self.knob](AcceleratorConfig(), value)
-                else:
-                    SCALE_KNOBS[self.knob](value)
-            except (ValueError, TypeError, KeyError) as exc:
-                raise SchemaError(
-                    f"{owner}.values", f"invalid value {value!r} for knob "
-                    f"{self.knob!r}: {exc}"
-                ) from exc
-        for name in ("epochs", "batches_per_epoch", "batch_size", "max_groups"):
-            _check_int(owner, name, getattr(self, name))
-        if self.seed is not None:
-            _check_int(owner, "seed", self.seed, minimum=-(2 ** 31))
-        if self.trace_max_batch is not None:
-            _check_int(owner, "trace_max_batch", self.trace_max_batch)
-        if self.study_jobs is not None:
-            _check_int(owner, "study_jobs", self.study_jobs)
+        except ValueError as exc:
+            raise SchemaError(f"{type(self).__name__}.values", str(exc)) from exc
 
 
 @dataclass
@@ -331,47 +290,21 @@ class ExploreRequest(_ApiModel):
 
     #: A :class:`repro.explore.StudySpec` document (``StudySpec.to_dict``).
     spec: Dict[str, Any]
-    study_dir: Optional[str] = None
+    study_dir: Optional[str] = field(default=None, metadata=NONEMPTY)
     resume: bool = False
     #: Random-sample N points instead of the full cartesian product.
-    sample: Optional[int] = None
+    sample: Optional[int] = field(default=None, metadata=AT_LEAST_ONE)
     #: Overrides the spec's seed when given.
-    seed: Optional[int] = None
+    seed: Optional[int] = field(default=None, metadata=NON_NEGATIVE)
     #: Frontier objectives overriding the spec's, e.g. ``["speedup"]``.
     objectives: Optional[List[str]] = None
     #: Worker processes for study execution; ``None`` defers to the
     #: session's resolved ``study_jobs`` (1 = serial).
-    study_jobs: Optional[int] = None
+    study_jobs: Optional[int] = field(default=None, metadata=AT_LEAST_ONE)
 
     def validate(self) -> None:
-        owner = type(self).__name__
-        if not isinstance(self.spec, dict):
-            raise SchemaError(
-                f"{owner}.spec", f"expected a StudySpec object, got {self.spec!r}"
-            )
-        if self.study_dir is not None:
-            _check_str(owner, "study_dir", self.study_dir)
-        if not isinstance(self.resume, bool):
-            raise SchemaError(f"{owner}.resume", f"expected a boolean, got {self.resume!r}")
-        if self.sample is not None:
-            _check_int(owner, "sample", self.sample)
-        if self.seed is not None:
-            _check_int(owner, "seed", self.seed, minimum=-(2 ** 31))
-        if self.study_jobs is not None:
-            _check_int(owner, "study_jobs", self.study_jobs)
         if self.objectives is not None:
-            if not isinstance(self.objectives, (list, tuple)) or not self.objectives:
-                raise SchemaError(
-                    f"{owner}.objectives",
-                    f"expected a non-empty list of metric names, got {self.objectives!r}",
-                )
-            self.objectives = [str(name) for name in self.objectives]
-            from repro.explore.spec import parse_objectives
-
-            try:
-                parse_objectives(self.objectives)
-            except ValueError as exc:
-                raise SchemaError(f"{owner}.objectives", str(exc)) from exc
+            _require_objectives(type(self).__name__, self.objectives)
         # Validate the spec itself (and that any overrides compose with
         # it) before any training starts.
         self.resolved_spec()
@@ -380,18 +313,15 @@ class ExploreRequest(_ApiModel):
         """The validated :class:`StudySpec` with sample/seed overrides applied."""
         from repro.explore.spec import StudySpec
 
-        owner = type(self).__name__
+        overrides: Dict[str, Any] = {}
+        if self.sample is not None:
+            overrides.update(mode="random", sample=self.sample)
+        if self.seed is not None:
+            overrides["seed"] = self.seed
         try:
-            spec = StudySpec.from_dict(self.spec)
-            if self.sample is not None:
-                spec.mode = "random"
-                spec.sample = self.sample
-            if self.seed is not None:
-                spec.seed = self.seed
-            spec.validate()
+            return dataclasses.replace(StudySpec.from_dict(self.spec), **overrides)
         except ValueError as exc:
-            raise SchemaError(f"{owner}.spec", str(exc)) from exc
-        return spec
+            raise SchemaError(f"{type(self).__name__}.spec", str(exc)) from exc
 
 
 #: Diff comparison modes (see :mod:`repro.lineage`).
@@ -417,64 +347,21 @@ class DiffRequest(_ApiModel):
 
     a: Dict[str, Any]
     b: Dict[str, Any]
-    mode: str = "study"
+    mode: str = field(default="study", metadata={"choices": DIFF_MODES})
     #: Relative tolerance below which a metric counts as held; ``None``
     #: uses the mode default (0.0 for study, 0.25 for bench).
-    tolerance: Optional[float] = None
+    tolerance: Optional[float] = field(default=None, metadata=NON_NEGATIVE)
     #: Metric names treated as noise and dropped before diffing (study).
     ignore: Optional[List[str]] = None
     #: Frontier objectives overriding the specs' (study mode).
     objectives: Optional[List[str]] = None
     #: Display labels for the two sides (default: source descriptions).
-    a_label: Optional[str] = None
-    b_label: Optional[str] = None
+    a_label: Optional[str] = field(default=None, metadata=NONEMPTY)
+    b_label: Optional[str] = field(default=None, metadata=NONEMPTY)
 
     def validate(self) -> None:
-        owner = type(self).__name__
-        for name in ("a", "b"):
-            if not isinstance(getattr(self, name), dict):
-                raise SchemaError(
-                    f"{owner}.{name}",
-                    f"expected a JSON object, got {getattr(self, name)!r}",
-                )
-        if self.mode not in DIFF_MODES:
-            raise SchemaError(
-                f"{owner}.mode", f"expected one of {DIFF_MODES}, got {self.mode!r}"
-            )
-        if self.tolerance is not None:
-            if isinstance(self.tolerance, bool) or not isinstance(
-                self.tolerance, (int, float)
-            ):
-                raise SchemaError(
-                    f"{owner}.tolerance", f"expected a number, got {self.tolerance!r}"
-                )
-            if not math.isfinite(self.tolerance) or self.tolerance < 0:
-                raise SchemaError(
-                    f"{owner}.tolerance",
-                    f"must be a finite number >= 0, got {self.tolerance!r}",
-                )
-        for name in ("ignore", "objectives"):
-            value = getattr(self, name)
-            if value is None:
-                continue
-            if not isinstance(value, (list, tuple)) or not all(
-                isinstance(item, str) and item for item in value
-            ):
-                raise SchemaError(
-                    f"{owner}.{name}",
-                    f"expected a list of non-empty strings, got {value!r}",
-                )
-            setattr(self, name, list(value))
         if self.objectives is not None:
-            from repro.explore.spec import parse_objectives
-
-            try:
-                parse_objectives(self.objectives)
-            except ValueError as exc:
-                raise SchemaError(f"{owner}.objectives", str(exc)) from exc
-        for name in ("a_label", "b_label"):
-            if getattr(self, name) is not None:
-                _check_str(owner, name, getattr(self, name))
+            _require_objectives(type(self).__name__, self.objectives)
 
 
 #: Request types by wire tag, the dispatch table of :func:`request_from_dict`.
@@ -516,111 +403,57 @@ def request_from_dict(payload: Any) -> _ApiModel:
 class SimulateResult(_ApiModel):
     """Per-operation speedups and energy efficiency of one simulate run."""
 
-    model: str
-    config: str
+    model: str = field(metadata=NONEMPTY)
+    config: str = field(metadata=NONEMPTY)
     potentials: Dict[str, float] = field(default_factory=dict)
     speedups: Dict[str, float] = field(default_factory=dict)
     core_energy_efficiency: float = 1.0
     overall_energy_efficiency: float = 1.0
-
-    def validate(self) -> None:
-        owner = type(self).__name__
-        _check_str(owner, "model", self.model)
-        _check_str(owner, "config", self.config)
-        _check_number_map(owner, "potentials", self.potentials)
-        _check_number_map(owner, "speedups", self.speedups)
-        for name in ("core_energy_efficiency", "overall_energy_efficiency"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise SchemaError(f"{owner}.{name}", f"expected a number, got {value!r}")
 
 
 @dataclass
 class RooflineResult(_ApiModel):
     """Roofline placement plus stall/bound summary of one run."""
 
-    model: str
-    config: str
+    model: str = field(metadata=NONEMPTY)
+    config: str = field(metadata=NONEMPTY)
     #: A :meth:`repro.analysis.roofline.RooflineReport.as_dict` document.
     roofline: Dict[str, Any] = field(default_factory=dict)
-    memory_bound_operations: int = 0
-    total_operations: int = 0
+    memory_bound_operations: int = field(default=0, metadata=NON_NEGATIVE)
+    total_operations: int = field(default=0, metadata=NON_NEGATIVE)
     stall_fraction: float = 0.0
     speedup: float = 1.0
     compute_speedup: float = 1.0
-
-    def validate(self) -> None:
-        owner = type(self).__name__
-        _check_str(owner, "model", self.model)
-        _check_str(owner, "config", self.config)
-        if not isinstance(self.roofline, dict):
-            raise SchemaError(
-                f"{owner}.roofline", f"expected an object, got {self.roofline!r}"
-            )
-        for name in ("memory_bound_operations", "total_operations"):
-            _check_int(owner, name, getattr(self, name), minimum=0)
-        for name in ("stall_fraction", "speedup", "compute_speedup"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise SchemaError(f"{owner}.{name}", f"expected a number, got {value!r}")
 
 
 @dataclass
 class ScaleResult(_ApiModel):
     """Multi-device scaling outcome: headline numbers plus the full report."""
 
-    model: str
-    config: str
-    partition: str = "data"
-    num_devices: int = 1
+    model: str = field(metadata=NONEMPTY)
+    config: str = field(metadata=NONEMPTY)
+    partition: str = field(default="data", metadata=NONEMPTY)
+    num_devices: int = field(default=1, metadata=AT_LEAST_ONE)
     #: Human-readable interconnect summary (``Interconnect.describe()``).
-    link: str = "ideal (unbounded)"
+    link: str = field(default="ideal (unbounded)", metadata=NONEMPTY)
     speedup: float = 1.0
     efficiency: float = 1.0
     comm_fraction: float = 0.0
-    single_device_cycles: int = 0
-    scaled_cycles: int = 0
+    single_device_cycles: int = field(default=0, metadata=NON_NEGATIVE)
+    scaled_cycles: int = field(default=0, metadata=NON_NEGATIVE)
     #: A :meth:`repro.scale.ScalingReport.as_dict` document.
     report: Dict[str, Any] = field(default_factory=dict)
-
-    def validate(self) -> None:
-        owner = type(self).__name__
-        _check_str(owner, "model", self.model)
-        _check_str(owner, "config", self.config)
-        _check_str(owner, "partition", self.partition)
-        _check_str(owner, "link", self.link)
-        _check_int(owner, "num_devices", self.num_devices)
-        for name in ("single_device_cycles", "scaled_cycles"):
-            _check_int(owner, name, getattr(self, name), minimum=0)
-        for name in ("speedup", "efficiency", "comm_fraction"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise SchemaError(f"{owner}.{name}", f"expected a number, got {value!r}")
-        if not isinstance(self.report, dict):
-            raise SchemaError(
-                f"{owner}.report", f"expected an object, got {self.report!r}"
-            )
 
 
 @dataclass
 class SweepResult(_ApiModel):
     """One-knob sweep outcome: the underlying study document plus labels."""
 
-    model: str
-    knob: str
+    model: str = field(metadata=NONEMPTY)
+    knob: str = field(metadata=NONEMPTY)
     values: List[Any] = field(default_factory=list)
     #: A :func:`repro.explore.report.study_to_dict` document.
     study: Dict[str, Any] = field(default_factory=dict)
-
-    def validate(self) -> None:
-        owner = type(self).__name__
-        _check_str(owner, "model", self.model)
-        _check_str(owner, "knob", self.knob)
-        if not isinstance(self.values, (list, tuple)):
-            raise SchemaError(f"{owner}.values", f"expected a list, got {self.values!r}")
-        self.values = list(self.values)
-        if not isinstance(self.study, dict):
-            raise SchemaError(f"{owner}.study", f"expected an object, got {self.study!r}")
 
 
 @dataclass
@@ -629,11 +462,6 @@ class ExploreResult(_ApiModel):
 
     #: A :func:`repro.explore.report.study_to_dict` document.
     study: Dict[str, Any] = field(default_factory=dict)
-
-    def validate(self) -> None:
-        owner = type(self).__name__
-        if not isinstance(self.study, dict):
-            raise SchemaError(f"{owner}.study", f"expected an object, got {self.study!r}")
 
 
 @dataclass
@@ -647,13 +475,13 @@ class DiffResult(_ApiModel):
     ``changed`` everything that moved at all.
     """
 
-    mode: str = "study"
+    mode: str = field(default="study", metadata={"choices": DIFF_MODES})
     a: str = ""
     b: str = ""
-    tolerance: float = 0.0
+    tolerance: float = field(default=0.0, metadata=NON_NEGATIVE)
     identical: bool = True
-    regressions: int = 0
-    changed: int = 0
+    regressions: int = field(default=0, metadata=NON_NEGATIVE)
+    changed: int = field(default=0, metadata=NON_NEGATIVE)
     summary: Dict[str, Any] = field(default_factory=dict)
     deltas: List[Dict[str, Any]] = field(default_factory=list)
     added: List[str] = field(default_factory=list)
@@ -661,57 +489,6 @@ class DiffResult(_ApiModel):
     frontier: Dict[str, Any] = field(default_factory=dict)
     attribution: List[Dict[str, Any]] = field(default_factory=list)
     warnings: List[str] = field(default_factory=list)
-
-    def validate(self) -> None:
-        owner = type(self).__name__
-        if self.mode not in DIFF_MODES:
-            raise SchemaError(
-                f"{owner}.mode", f"expected one of {DIFF_MODES}, got {self.mode!r}"
-            )
-        for name in ("a", "b"):
-            if not isinstance(getattr(self, name), str):
-                raise SchemaError(
-                    f"{owner}.{name}",
-                    f"expected a string, got {getattr(self, name)!r}",
-                )
-        if (
-            isinstance(self.tolerance, bool)
-            or not isinstance(self.tolerance, (int, float))
-            or not math.isfinite(self.tolerance)
-            or self.tolerance < 0
-        ):
-            raise SchemaError(
-                f"{owner}.tolerance",
-                f"expected a finite number >= 0, got {self.tolerance!r}",
-            )
-        if not isinstance(self.identical, bool):
-            raise SchemaError(
-                f"{owner}.identical", f"expected a boolean, got {self.identical!r}"
-            )
-        for name in ("regressions", "changed"):
-            _check_int(owner, name, getattr(self, name), minimum=0)
-        for name in ("summary", "frontier"):
-            if not isinstance(getattr(self, name), dict):
-                raise SchemaError(
-                    f"{owner}.{name}",
-                    f"expected an object, got {getattr(self, name)!r}",
-                )
-        for name in ("deltas", "attribution"):
-            value = getattr(self, name)
-            if not isinstance(value, list) or not all(
-                isinstance(item, dict) for item in value
-            ):
-                raise SchemaError(
-                    f"{owner}.{name}", f"expected a list of objects, got {value!r}"
-                )
-        for name in ("added", "removed", "warnings"):
-            value = getattr(self, name)
-            if not isinstance(value, list) or not all(
-                isinstance(item, str) for item in value
-            ):
-                raise SchemaError(
-                    f"{owner}.{name}", f"expected a list of strings, got {value!r}"
-                )
 
 
 #: Result type for each request kind (the envelope's ``result`` payload).
@@ -734,32 +511,18 @@ class ApiResult(_ApiModel):
     ``elapsed_seconds`` the wall-clock spent inside the session.
     """
 
-    kind: str = "simulate"
+    kind: str = field(default="simulate", metadata={"choices": tuple(RESULT_TYPES)})
     result: Any = None
     engine: Dict[str, Any] = field(default_factory=dict)
     elapsed_seconds: float = 0.0
 
     def validate(self) -> None:
-        owner = type(self).__name__
-        if self.kind not in RESULT_TYPES:
-            raise SchemaError(
-                f"{owner}.kind", f"unknown kind {self.kind!r}; known: {sorted(RESULT_TYPES)}"
-            )
         expected = RESULT_TYPES[self.kind]
         if not isinstance(self.result, expected):
             raise SchemaError(
-                f"{owner}.result",
+                f"{type(self).__name__}.result",
                 f"expected a {expected.__name__} for kind {self.kind!r}, "
                 f"got {type(self.result).__name__}",
-            )
-        if not isinstance(self.engine, dict):
-            raise SchemaError(f"{owner}.engine", f"expected an object, got {self.engine!r}")
-        if isinstance(self.elapsed_seconds, bool) or not isinstance(
-            self.elapsed_seconds, (int, float)
-        ):
-            raise SchemaError(
-                f"{owner}.elapsed_seconds",
-                f"expected a number, got {self.elapsed_seconds!r}",
             )
 
     def to_dict(self) -> Dict[str, Any]:
@@ -777,15 +540,7 @@ class ApiResult(_ApiModel):
         if not isinstance(payload, dict):
             raise SchemaError(name, f"expected a JSON object, got {type(payload).__name__}")
         payload = dict(payload)
-        version = payload.pop("schema_version", SCHEMA_VERSION)
-        if not isinstance(version, int) or isinstance(version, bool) or version < 1:
-            raise SchemaError(f"{name}.schema_version", f"invalid version {version!r}")
-        if version > SCHEMA_VERSION:
-            raise SchemaError(
-                f"{name}.schema_version",
-                f"document version {version} is newer than this library "
-                f"supports (schema {SCHEMA_VERSION}); upgrade repro",
-            )
+        _pop_version(name, payload)
         kind = payload.get("kind")
         result_type = RESULT_TYPES.get(kind)
         if result_type is None:
@@ -797,13 +552,10 @@ class ApiResult(_ApiModel):
         unknown = sorted(set(payload) - {"kind", "result", "engine", "elapsed_seconds"})
         if unknown:
             raise SchemaError(f"{name}.{unknown[0]}", "unknown field")
-        engine = payload.get("engine") or {}
-        if not isinstance(engine, dict):
-            raise SchemaError(f"{name}.engine", f"expected an object, got {engine!r}")
         return cls(
             kind=kind,
             result=result_type.from_dict(payload["result"]),
-            engine=dict(engine),
+            engine=payload.get("engine") or {},
             elapsed_seconds=payload.get("elapsed_seconds", 0.0),
         )
 
@@ -816,17 +568,6 @@ JOB_STATES = ("queued", "running", "succeeded", "failed", "cancelled")
 
 #: States a job can never leave once entered.
 JOB_TERMINAL_STATES = ("succeeded", "failed", "cancelled")
-
-
-def _check_optional_time(owner: str, name: str, value: Any) -> None:
-    if value is None:
-        return
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError(f"{owner}.{name}", f"expected a timestamp, got {value!r}")
-    if not math.isfinite(value) or value < 0:
-        raise SchemaError(
-            f"{owner}.{name}", f"expected a non-negative timestamp, got {value!r}"
-        )
 
 
 @dataclass
@@ -843,47 +584,16 @@ class JobRecord(_ApiModel):
 
     kind: ClassVar[str] = "job"
 
-    job_id: str
-    request_kind: str
-    state: str
-    created_s: float
-    started_s: Optional[float] = None
-    finished_s: Optional[float] = None
-    error: Optional[str] = None
+    job_id: str = field(metadata=NONEMPTY)
+    request_kind: str = field(metadata={"choices": tuple(REQUEST_TYPES)})
+    state: str = field(metadata={"choices": JOB_STATES})
+    created_s: float = field(metadata=NON_NEGATIVE)
+    started_s: Optional[float] = field(default=None, metadata=NON_NEGATIVE)
+    finished_s: Optional[float] = field(default=None, metadata=NON_NEGATIVE)
+    error: Optional[str] = field(default=None, metadata=NONEMPTY)
     cancel_requested: bool = False
-    events: int = 0
+    events: int = field(default=0, metadata=NON_NEGATIVE)
     request: Dict[str, Any] = field(default_factory=dict)
-
-    def validate(self) -> None:
-        owner = type(self).__name__
-        _check_str(owner, "job_id", self.job_id)
-        if self.request_kind not in REQUEST_TYPES:
-            raise SchemaError(
-                f"{owner}.request_kind",
-                f"unknown kind {self.request_kind!r}; known: {sorted(REQUEST_TYPES)}",
-            )
-        if self.state not in JOB_STATES:
-            raise SchemaError(
-                f"{owner}.state",
-                f"unknown state {self.state!r}; known: {list(JOB_STATES)}",
-            )
-        _check_optional_time(owner, "created_s", self.created_s)
-        if self.created_s is None:
-            raise SchemaError(f"{owner}.created_s", "required field is missing")
-        _check_optional_time(owner, "started_s", self.started_s)
-        _check_optional_time(owner, "finished_s", self.finished_s)
-        if self.error is not None:
-            _check_str(owner, "error", self.error)
-        if not isinstance(self.cancel_requested, bool):
-            raise SchemaError(
-                f"{owner}.cancel_requested",
-                f"expected a boolean, got {self.cancel_requested!r}",
-            )
-        _check_int(owner, "events", self.events, minimum=0)
-        if not isinstance(self.request, dict):
-            raise SchemaError(
-                f"{owner}.request", f"expected an object, got {self.request!r}"
-            )
 
 
 @dataclass
@@ -898,31 +608,21 @@ class JobResult(_ApiModel):
 
     kind: ClassVar[str] = "job_result"
 
-    job_id: str
-    state: str
+    job_id: str = field(metadata=NONEMPTY)
+    state: str = field(metadata={"choices": JOB_TERMINAL_STATES})
     result: Optional[Dict[str, Any]] = None
-    error: Optional[str] = None
+    error: Optional[str] = field(default=None, metadata=NONEMPTY)
 
     def validate(self) -> None:
         owner = type(self).__name__
-        _check_str(owner, "job_id", self.job_id)
-        if self.state not in JOB_TERMINAL_STATES:
-            raise SchemaError(
-                f"{owner}.state",
-                f"expected a terminal state {list(JOB_TERMINAL_STATES)}, "
-                f"got {self.state!r}",
-            )
         if self.state == "succeeded":
-            if not isinstance(self.result, dict):
+            if self.result is None:
                 raise SchemaError(
                     f"{owner}.result",
-                    f"a succeeded job carries its ApiResult document, "
-                    f"got {self.result!r}",
+                    "a succeeded job carries its ApiResult document, got None",
                 )
         elif self.result is not None:
             raise SchemaError(
                 f"{owner}.result",
                 f"only succeeded jobs carry a result, state is {self.state!r}",
             )
-        if self.error is not None:
-            _check_str(owner, "error", self.error)

@@ -50,8 +50,9 @@ Study requests (``/v1/sweep`` / ``/v1/explore``) may carry a
 ``study_jobs`` field to fan their points across worker processes; it
 passes straight through to the session (``--study-jobs`` /
 ``REPRO_STUDY_JOBS`` set the server-wide default), and each worker's
-engine joins the server's shared cache tier when one is configured —
-see ``docs/performance.md``.
+engine reads and writes the server's disk cache (``--cache-dir``) when
+one is configured, else the study directory's — see
+``docs/performance.md``.
 
 HTTP semantics are strict: invalid documents return ``400`` with
 ``{"error": ..., "field": ...}`` naming the offending field; unknown

@@ -42,6 +42,7 @@ from collections import OrderedDict
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
+from repro._fields import check_fields
 from repro._version import __version__
 from repro.api.schema import (
     SCHEMA_VERSION,
@@ -229,6 +230,8 @@ class Session:
             )
         tracer = get_tracer()
         with self._lock:
+            # Callers may have changed fields since construction.
+            check_fields(request)
             request.validate()
             before = self.engine.stats.snapshot()
             self._request_cache_dir = before.cache_dir
@@ -490,27 +493,11 @@ class Session:
         on_event: EventHook = None,
     ) -> SweepResult:
         from repro.explore.report import study_to_dict
-        from repro.explore.spec import SCALE_KNOBS, StudySpec
 
         emit = progress or (lambda message: None)
-        values = list(request.values)
-        objectives = ["speedup", "core_energy_efficiency", "energy_efficiency"]
-        if request.knob in SCALE_KNOBS:
-            # Scaling sweeps table the scaling curve, not the energy one.
-            objectives = ["scaled_speedup", "scaling_efficiency", "comm_fraction"]
-        spec = StudySpec(
-            name=f"{request.model}-{request.knob}-sweep",
-            workloads=[request.model],
-            knobs={request.knob: values},
-            epochs=request.epochs,
-            batches_per_epoch=request.batches_per_epoch,
-            batch_size=request.batch_size,
-            max_groups=request.max_groups,
-            trace_max_batch=request.trace_max_batch,
-            seed=self._seed_for(request),
-            objectives=objectives,
-        )
-        emit(f"Training {request.model} once; sweeping {request.knob} over {values}...")
+        spec = request.resolved_spec(default_seed=self._seed_for(request))
+        emit(f"Training {request.model} once; sweeping {request.knob} "
+             f"over {request.values}...")
         runner = self._study_runner(spec, study_jobs=request.study_jobs)
         study = runner.run(on_event=on_event)
         # Points executed in study worker processes never touched this
@@ -521,7 +508,7 @@ class Session:
         return SweepResult(
             model=request.model,
             knob=request.knob,
-            values=values,
+            values=request.values,
             study=study_to_dict(study),
         )
 

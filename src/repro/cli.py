@@ -133,6 +133,7 @@ from __future__ import annotations
 
 import argparse
 import json
+from dataclasses import replace
 from pathlib import Path
 from typing import List, Optional, Tuple
 
@@ -662,11 +663,9 @@ def _command_explore(args: argparse.Namespace) -> int:
     try:
         spec = StudySpec.from_json(args.spec)
         if args.sample is not None:
-            spec.mode = "random"
-            spec.sample = args.sample
+            spec = replace(spec, mode="random", sample=args.sample)
         if args.seed is not None:
-            spec.seed = args.seed
-        spec.validate()
+            spec = replace(spec, seed=args.seed)
         objectives = None
         if args.objectives:
             objectives = [name.strip() for name in args.objectives.split(",")

@@ -21,72 +21,53 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro._fields import (
+    ABOVE_ZERO,
+    AT_LEAST_ONE,
+    NON_NEGATIVE,
+    NONEMPTY,
+    check_fields,
+    check_value,
+)
 from repro.analysis.frontier import Objective
 from repro.core.config import AcceleratorConfig
 from repro.explore.scenarios import TRACED, parse_scenario
 from repro.models.registry import available_models
 
 
-def _apply_power_gating(config: AcceleratorConfig, value) -> AcceleratorConfig:
-    if not isinstance(value, bool):
-        raise ValueError(f"power_gating values must be booleans, got {value!r}")
-    return replace(config, power_gated=value)
-
-
-#: Sweepable accelerator knobs: name -> (apply, value coercion).
+#: Sweepable accelerator knobs: name -> apply.  Each value is checked by
+#: the one field rule (:func:`repro._fields.check_value`) as it is
+#: applied, so a value that is not exactly an integer (``1.5``, ``"4"``,
+#: ``true``) is refused instead of truncated.
 #: ``dram_bandwidth_gbps`` and ``sram_kb`` sweep the memory hierarchy, so
 #: bandwidth-starved edge machines and the paper's Table 2 machine live in
 #: one study; both knobs make the swept points memory-aware (finite
 #: hierarchy), which the engine cache keys on automatically.
 KNOBS: Dict[str, Callable[[AcceleratorConfig, object], AcceleratorConfig]] = {
-    "tiles": lambda c, v: replace(c, num_tiles=int(v)),
-    "rows": lambda c, v: c.with_tile(rows=int(v)),
-    "columns": lambda c, v: c.with_tile(columns=int(v)),
-    "macs": lambda c, v: c.with_pe(lanes=int(v)),
-    "staging": lambda c, v: c.with_pe(staging_depth=int(v)),
-    "datatype": lambda c, v: c.with_pe(datatype=str(v)),
-    "power_gating": _apply_power_gating,
+    "tiles": lambda c, v: replace(c, num_tiles=check_value(int, v)),
+    "rows": lambda c, v: c.with_tile(rows=check_value(int, v)),
+    "columns": lambda c, v: c.with_tile(columns=check_value(int, v)),
+    "macs": lambda c, v: c.with_pe(lanes=check_value(int, v)),
+    "staging": lambda c, v: c.with_pe(staging_depth=check_value(int, v)),
+    "datatype": lambda c, v: c.with_pe(datatype=check_value(str, v)),
+    "power_gating": lambda c, v: replace(c, power_gated=check_value(bool, v)),
     "dram_bandwidth_gbps": lambda c, v: c.with_hierarchy(
-        dram_bandwidth_gbps=float(v)
+        dram_bandwidth_gbps=float(check_value(float, v))
     ),
-    "sram_kb": lambda c, v: c.with_hierarchy(sram_kb=int(v)),
+    "sram_kb": lambda c, v: c.with_hierarchy(sram_kb=check_value(int, v)),
 }
-
-
-def _scale_num_devices(value) -> int:
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ValueError(
-            f"num_devices values must be integers >= 1, got {value!r}"
-        )
-    return value
 
 
 def _scale_partition(value) -> str:
     from repro.scale.partition import check_partition
 
-    if not isinstance(value, str):
-        raise ValueError(f"partition values must be strings, got {value!r}")
-    return check_partition(value)
-
-
-def _scale_link_gbps(value) -> float:
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, (int, float))
-        or not math.isfinite(value)
-        or value <= 0
-    ):
-        raise ValueError(
-            f"link_gbps values must be positive finite numbers, got {value!r}"
-        )
-    return float(value)
+    return check_partition(check_value(str, value))
 
 
 #: Multi-device scaling knobs (:mod:`repro.scale`): these shape how the
@@ -96,9 +77,9 @@ def _scale_link_gbps(value) -> float:
 #: them additionally record ``num_devices`` / ``scaled_speedup`` /
 #: ``scaling_efficiency`` / ``comm_fraction`` metrics.
 SCALE_KNOBS: Dict[str, Callable[[object], object]] = {
-    "num_devices": _scale_num_devices,
+    "num_devices": lambda v: check_value(int, v, AT_LEAST_ONE),
     "partition": _scale_partition,
-    "link_gbps": _scale_link_gbps,
+    "link_gbps": lambda v: float(check_value(float, v, ABOVE_ZERO)),
 }
 
 #: Metrics a study records per point, with their optimisation direction.
@@ -236,32 +217,32 @@ class StudySpec:
     """
 
     name: str = "study"
-    workloads: List[str] = field(default_factory=lambda: ["snli"])
+    workloads: List[str] = field(default_factory=lambda: ["snli"], metadata=NONEMPTY)
     knobs: Dict[str, List] = field(default_factory=dict)
-    scenarios: List[str] = field(default_factory=lambda: [TRACED])
-    mode: str = "cartesian"
-    sample: Optional[int] = None
-    seed: int = 0
+    scenarios: List[str] = field(default_factory=lambda: [TRACED], metadata=NONEMPTY)
+    mode: str = field(default="cartesian", metadata={"choices": ("cartesian", "random")})
+    sample: Optional[int] = field(default=None, metadata=AT_LEAST_ONE)
+    seed: int = field(default=0, metadata=NON_NEGATIVE)
     objectives: List[str] = field(default_factory=lambda: list(DEFAULT_OBJECTIVES))
     #: Trace/simulation parameters shared by every point.
-    epochs: int = 2
-    batches_per_epoch: int = 2
-    batch_size: int = 8
-    max_groups: int = 48
+    epochs: int = field(default=2, metadata=AT_LEAST_ONE)
+    batches_per_epoch: int = field(default=2, metadata=AT_LEAST_ONE)
+    batch_size: int = field(default=8, metadata=AT_LEAST_ONE)
+    max_groups: int = field(default=48, metadata=AT_LEAST_ONE)
     #: Traced samples kept per convolutional layer (``None``: the
     #: trainer's default of 4).  Studies sweeping ``num_devices`` past 4
     #: should raise it to the largest device count so data-parallel
     #: shards stay balanced.
-    trace_max_batch: Optional[int] = None
+    trace_max_batch: Optional[int] = field(default=None, metadata=AT_LEAST_ONE)
 
     def __post_init__(self) -> None:
+        check_fields(self)
         self.validate()
 
     # ------------------------------------------------------------------
     def validate(self) -> None:
-        """Raise ``ValueError`` on the first invalid field."""
-        if not self.workloads:
-            raise ValueError("spec needs at least one workload")
+        """Raise ``ValueError`` on the first invalid cross-field or
+        registry rule (per-field rules are checked on construction)."""
         known_models = set(available_models())
         for workload in self.workloads:
             if workload not in known_models:
@@ -274,7 +255,7 @@ class StudySpec:
                     f"unknown knob {knob!r}; known: "
                     f"{sorted(KNOBS) + sorted(SCALE_KNOBS)}"
                 )
-            if not isinstance(values, (list, tuple)) or not values:
+            if not values:
                 raise ValueError(
                     f"knob {knob!r} needs a non-empty list of values, got {values!r}"
                 )
@@ -289,25 +270,12 @@ class StudySpec:
                         f"knob {knob!r}: invalid value {value!r}: {exc}"
                     ) from exc
         self.scenarios = [parse_scenario(s) for s in self.scenarios]
-        if not self.scenarios:
-            raise ValueError("spec needs at least one sparsity scenario")
-        if self.mode not in ("cartesian", "random"):
-            raise ValueError(
-                f"mode must be 'cartesian' or 'random', got {self.mode!r}"
-            )
         if self.mode == "random":
-            if not self.sample or self.sample < 1:
+            if self.sample is None:
                 raise ValueError("mode 'random' requires a positive 'sample' count")
         elif self.sample is not None:
             raise ValueError("'sample' is only meaningful with mode 'random'")
         parse_objectives(self.objectives)
-        for name in ("epochs", "batches_per_epoch", "batch_size", "max_groups"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.trace_max_batch is not None and self.trace_max_batch < 1:
-            raise ValueError(
-                f"trace_max_batch must be >= 1, got {self.trace_max_batch}"
-            )
 
     # ------------------------------------------------------------------
     @classmethod

@@ -3,20 +3,30 @@
 Every request/result type must satisfy ``from_dict(to_dict(x)) == x`` —
 including through an actual ``json.dumps``/``json.loads`` cycle — and
 every invalid document must fail with a :class:`SchemaError` that names
-the offending field.
+the offending field.  A fuzz puts any JSON value into one field of each
+request kind (and of the embedded study spec): the document round-trips
+or is refused by name, never with another exception.
 """
 
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api.schema import (
     SCHEMA_VERSION,
     ApiResult,
+    DiffRequest,
+    DiffResult,
     ExploreRequest,
     ExploreResult,
+    JobRecord,
+    JobResult,
     RooflineRequest,
     RooflineResult,
+    ScaleRequest,
+    ScaleResult,
     SchemaError,
     SimulateRequest,
     SimulateResult,
@@ -24,6 +34,7 @@ from repro.api.schema import (
     SweepResult,
     request_from_dict,
 )
+from repro.explore import StudySpec
 
 TINY_SPEC = {
     "name": "tiny",
@@ -101,6 +112,32 @@ def _sample_instances():
                   engine={"backend": "vectorized", "cache_hits": 4},
                   elapsed_seconds=0.25),
         ApiResult(kind="roofline", result=roofline_result),
+        ScaleRequest(model="snli", num_devices=4, partition="pipeline",
+                     link_gbps=None, hop_latency_cycles=0, trace_max_batch=4),
+        ScaleResult(model="snli", config="16 tiles", partition="data",
+                    num_devices=4, link="25 GB/s", speedup=3.2,
+                    efficiency=0.8, comm_fraction=0.1,
+                    single_device_cycles=1000, scaled_cycles=312,
+                    report={"num_devices": 4, "devices": []}),
+        DiffRequest(a={"completed": {}}, b={"completed": {}}),
+        DiffRequest(a={}, b={}, mode="bench", tolerance=0.1,
+                    ignore=["dram_bytes"], objectives=["speedup"],
+                    a_label="old", b_label="new"),
+        DiffResult(),
+        DiffResult(mode="bench", a="old", b="new", tolerance=0.25,
+                   identical=False, regressions=1, changed=2,
+                   summary={"regressed": 1}, deltas=[{"metric": "wall_s"}],
+                   added=["p1"], removed=["p2"], frontier={"entered": []},
+                   attribution=[{"point": "p1"}], warnings=["w"]),
+        JobRecord(job_id="j1", request_kind="simulate", state="queued",
+                  created_s=1.5),
+        JobRecord(job_id="j2", request_kind="explore", state="failed",
+                  created_s=1.0, started_s=2.0, finished_s=3.0,
+                  error="boom", cancel_requested=True, events=4,
+                  request={"kind": "explore"}),
+        JobResult(job_id="j1", state="succeeded",
+                  result={"kind": "simulate", "result": {}}),
+        JobResult(job_id="j2", state="cancelled"),
     ]
 
 
@@ -207,6 +244,25 @@ class TestValidationErrors:
             ExploreRequest(spec=dict(TINY_SPEC), objectives=["made_up_metric"])
         assert self._field_of(excinfo) == "ExploreRequest.objectives"
 
+    @pytest.mark.parametrize("request_type", [
+        SimulateRequest, RooflineRequest, ScaleRequest, SweepRequest,
+    ])
+    def test_negative_seed_names_the_field(self, request_type):
+        with pytest.raises(SchemaError) as excinfo:
+            request_type(model="snli", seed=-1)
+        assert self._field_of(excinfo) == f"{request_type.__name__}.seed"
+
+    def test_negative_explore_seed_names_the_field(self):
+        with pytest.raises(SchemaError) as excinfo:
+            ExploreRequest(spec=dict(TINY_SPEC), seed=-1)
+        assert self._field_of(excinfo) == "ExploreRequest.seed"
+
+    @pytest.mark.parametrize("value", [1.5, "4", True])
+    def test_inexact_integer_knob_value_names_the_field(self, value):
+        with pytest.raises(SchemaError) as excinfo:
+            SweepRequest(model="snli", knob="rows", values=[value])
+        assert self._field_of(excinfo) == "SweepRequest.values"
+
     def test_request_from_dict_requires_kind(self):
         with pytest.raises(SchemaError) as excinfo:
             request_from_dict({"model": "snli"})
@@ -236,6 +292,67 @@ class TestValidationErrors:
         with pytest.raises(SchemaError) as excinfo:
             ApiResult.from_dict(payload)
         assert self._field_of(excinfo) == "ApiResult.engine"
+
+
+#: Any JSON value: the fuzz below puts one in place of a valid field.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=8), children, max_size=3),
+    max_leaves=6,
+)
+
+#: One valid document per request kind.
+VALID_REQUESTS = [
+    SimulateRequest(model="snli"),
+    RooflineRequest(model="snli", dram_bandwidth_gbps=2.0, sram_kb=64),
+    ScaleRequest(model="snli", num_devices=4, trace_max_batch=4),
+    SweepRequest(model="snli", knob="staging", values=[2, 3], study_jobs=1),
+    ExploreRequest(spec=dict(TINY_SPEC), sample=1, objectives=["speedup"]),
+    DiffRequest(a={}, b={}, tolerance=0.1, ignore=["dram_bytes"]),
+]
+
+REQUEST_FIELDS = [
+    (request, name)
+    for request in VALID_REQUESTS
+    for name in request.to_dict()
+    if name not in ("kind", "schema_version")
+]
+
+
+def _accepted_or_named(document, owner):
+    """Parse ``document``: it round-trips, or the error names ``owner``."""
+    try:
+        request = request_from_dict(document)
+    except SchemaError as exc:
+        assert exc.field == owner or exc.field.startswith(owner + "."), exc.field
+        return
+    wire = json.loads(json.dumps(request.to_dict()))
+    assert type(request).from_dict(wire) == request
+
+
+class TestFieldFuzz:
+    """A wrong-typed value is accepted or rejected by name, never a crash."""
+
+    @pytest.mark.parametrize(
+        "request_, name", REQUEST_FIELDS,
+        ids=[f"{type(r).__name__}.{n}" for r, n in REQUEST_FIELDS],
+    )
+    @settings(max_examples=25, deadline=None)
+    @given(value=JSON_VALUES)
+    def test_request_field(self, request_, name, value):
+        document = request_.to_dict()
+        document[name] = value
+        _accepted_or_named(document, type(request_).__name__)
+
+    @pytest.mark.parametrize("name", sorted(StudySpec().to_dict()))
+    @settings(max_examples=25, deadline=None)
+    @given(value=JSON_VALUES)
+    def test_study_spec_field(self, name, value):
+        spec = StudySpec.from_dict(TINY_SPEC).to_dict()
+        spec[name] = value
+        _accepted_or_named({"kind": "explore", "spec": spec}, "ExploreRequest.spec")
 
 
 class TestResolvedSpec:

@@ -24,6 +24,17 @@ SIMULATE_BODY = {
 }
 
 
+#: Spec fields whose wrong-typed values once escaped validation.
+MALFORMED_SPEC_FIELDS = [
+    ("knobs", []),
+    ("epochs", "2"),
+    ("max_groups", None),
+    ("trace_max_batch", "4"),
+    ("seed", "x"),
+    ("name", 5),
+]
+
+
 @pytest.fixture(scope="module")
 def server_url():
     server = create_server(port=0, session=Session(), quiet=True)
@@ -160,6 +171,21 @@ class TestServe:
         assert status == 400
         assert payload["field"] == "SimulateRequest.model"
         assert "unknown workload" in payload["error"]
+
+    @pytest.mark.parametrize("path", ["/v1/explore", "/v1/jobs"])
+    @pytest.mark.parametrize("name, value", MALFORMED_SPEC_FIELDS)
+    def test_malformed_spec_field_returns_400(self, server_url, path, name, value):
+        spec = {"name": "bad", "workloads": ["snli"], "knobs": {"staging": [2]}}
+        spec[name] = value
+        status, payload = _post(server_url + path, {"kind": "explore", "spec": spec})
+        assert status == 400
+        assert payload["field"] == "ExploreRequest.spec"
+        assert f"StudySpec.{name}" in payload["error"]
+
+    def test_negative_seed_returns_400(self, server_url):
+        status, payload = _post(server_url + "/v1/simulate", dict(SIMULATE_BODY, seed=-1))
+        assert status == 400
+        assert payload["field"] == "SimulateRequest.seed"
 
     def test_invalid_json_returns_400(self, server_url):
         request = urllib.request.Request(

@@ -132,6 +132,18 @@ class TestCommands:
                 "--dram-bandwidth-gbps", "-3",
             ])
 
+    def test_negative_seed_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["simulate", "snli", "--seed", "-1"])
+        assert excinfo.value.code == 2
+        assert "SimulateRequest.seed" in capsys.readouterr().err
+
+    def test_fractional_integer_knob_value_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", "snli", "--knob", "rows", "--values", "1.5"])
+        assert excinfo.value.code == 2
+        assert "SweepRequest.values" in capsys.readouterr().err
+
     def test_sweep_dram_bandwidth_knob(self, capsys):
         exit_code = main([
             "sweep", "snli", "--knob", "dram_bandwidth_gbps",

@@ -263,6 +263,18 @@ class TestExploreCli:
         with pytest.raises(SystemExit):
             main(["explore", str(path)])
 
+    @pytest.mark.parametrize("name, value", [
+        ("knobs", []), ("epochs", "2"), ("max_groups", None),
+        ("trace_max_batch", "4"), ("seed", "x"), ("name", 5), ("seed", -1),
+    ])
+    def test_explore_rejects_wrong_typed_spec_field(self, tmp_path, capsys, name, value):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"workloads": ["snli"], name: value}))
+        with pytest.raises(SystemExit) as excinfo:
+            main(["explore", str(path)])
+        assert excinfo.value.code == 2
+        assert f"StudySpec.{name}" in capsys.readouterr().err
+
     def test_explore_rejects_missing_spec_file(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["explore", str(tmp_path / "absent.json")])

@@ -65,6 +65,23 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="invalid value"):
             small_spec(knobs={"sram_kb": [-1]})
 
+    @pytest.mark.parametrize("knob, value", [
+        ("rows", 1.5), ("rows", "4"), ("rows", True), ("tiles", 2.0),
+        ("columns", "8"), ("macs", 4.0), ("staging", 2.5), ("sram_kb", "64"),
+        ("dram_bandwidth_gbps", "2"), ("dram_bandwidth_gbps", True),
+        ("datatype", 16),
+    ])
+    def test_rejects_wrong_typed_knob_value(self, knob, value):
+        # KNOBS once applied int()/float()/str(), so these ran as a
+        # different configuration than their point label records.
+        with pytest.raises(ValueError, match="invalid value"):
+            small_spec(knobs={knob: [value]})
+
+    def test_rejects_negative_seed(self):
+        # numpy's SeedSequence refuses negative seeds mid-run.
+        with pytest.raises(ValueError, match="seed"):
+            small_spec(seed=-1)
+
     def test_rejects_empty_knob_values(self):
         with pytest.raises(ValueError, match="non-empty list"):
             small_spec(knobs={"rows": []})
