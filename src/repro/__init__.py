@@ -56,23 +56,19 @@ Sparsity to Accelerate Deep Neural Network Training and Inference"
     The CLI subcommands are thin clients of this layer.
 """
 
-from repro._version import __version__
-from repro.core.config import AcceleratorConfig, PEConfig, TileConfig
-from repro.core.accelerator import Accelerator
-from repro.engine import SimulationEngine
-from repro.memory.hierarchy import MemoryHierarchy
-from repro.simulation.runner import ExperimentRunner, simulate_model_training
-from repro.api.session import Session
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AcceleratorConfig",
-    "PEConfig",
-    "TileConfig",
-    "Accelerator",
-    "SimulationEngine",
-    "MemoryHierarchy",
-    "ExperimentRunner",
-    "Session",
-    "simulate_model_training",
-    "__version__",
-]
+_EXPORTS = {
+    "AcceleratorConfig": "repro.core.config",
+    "PEConfig": "repro.core.config",
+    "TileConfig": "repro.core.config",
+    "Accelerator": "repro.core.accelerator",
+    "SimulationEngine": "repro.engine.engine",
+    "MemoryHierarchy": "repro.memory.hierarchy",
+    "ExperimentRunner": "repro.simulation.runner",
+    "Session": "repro.api.session",
+    "simulate_model_training": "repro.simulation.runner",
+    "__version__": "repro._version",
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
+__all__ = list(_EXPORTS)

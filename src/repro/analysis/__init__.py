@@ -1,40 +1,23 @@
 """Result analysis: the geometric mean, Pareto frontiers, the roofline
 report and table formatting."""
 
-from repro.analysis.frontier import (
-    Objective,
-    best_per_objective,
-    dominates,
-    pareto_frontier,
-)
-from repro.analysis.metrics import geometric_mean
-from repro.analysis.roofline import (
-    RooflinePoint,
-    RooflineReport,
-    format_roofline_report,
-    operational_intensity,
-    roofline_report,
-)
-from repro.analysis.reporting import (
-    ReportTable,
-    format_engine_stats,
-    format_series,
-    format_table,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "geometric_mean",
-    "format_table",
-    "format_series",
-    "format_engine_stats",
-    "ReportTable",
-    "Objective",
-    "dominates",
-    "pareto_frontier",
-    "best_per_objective",
-    "RooflinePoint",
-    "RooflineReport",
-    "roofline_report",
-    "format_roofline_report",
-    "operational_intensity",
-]
+_EXPORTS = {
+    "geometric_mean": "repro.analysis.metrics",
+    "format_table": "repro.analysis.reporting",
+    "format_series": "repro.analysis.reporting",
+    "format_engine_stats": "repro.analysis.reporting",
+    "ReportTable": "repro.analysis.reporting",
+    "Objective": "repro.analysis.frontier",
+    "dominates": "repro.analysis.frontier",
+    "pareto_frontier": "repro.analysis.frontier",
+    "best_per_objective": "repro.analysis.frontier",
+    "RooflinePoint": "repro.analysis.roofline",
+    "RooflineReport": "repro.analysis.roofline",
+    "roofline_report": "repro.analysis.roofline",
+    "format_roofline_report": "repro.analysis.roofline",
+    "operational_intensity": "repro.analysis.roofline",
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
+__all__ = list(_EXPORTS)

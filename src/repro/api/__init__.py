@@ -18,54 +18,27 @@ The CLI subcommands are thin clients of this layer: they build a
 request, call :meth:`Session.submit` and format the result.
 """
 
-from repro.api.schema import (
-    SCHEMA_VERSION,
-    ApiResult,
-    ExploreRequest,
-    ExploreResult,
-    RooflineRequest,
-    RooflineResult,
-    ScaleRequest,
-    ScaleResult,
-    SchemaError,
-    SimulateRequest,
-    SimulateResult,
-    SweepRequest,
-    SweepResult,
-    request_from_dict,
-)
-from repro.api.session import Session
+from repro._lazy import lazy_exports
 
-#: Names served by :mod:`repro.api.service`, imported on first access so
-#: that clients which never serve (``repro simulate``) skip ``http.server``.
-_SERVICE_EXPORTS = ("ApiServer", "create_server", "serve")
-
-
-def __getattr__(name):
-    if name in _SERVICE_EXPORTS:
-        from repro.api import service
-
-        return getattr(service, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-__all__ = [
-    "SCHEMA_VERSION",
-    "SchemaError",
-    "SimulateRequest",
-    "RooflineRequest",
-    "ScaleRequest",
-    "SweepRequest",
-    "ExploreRequest",
-    "SimulateResult",
-    "RooflineResult",
-    "ScaleResult",
-    "SweepResult",
-    "ExploreResult",
-    "ApiResult",
-    "request_from_dict",
-    "Session",
-    "ApiServer",
-    "create_server",
-    "serve",
-]
+_EXPORTS = {
+    "SCHEMA_VERSION": "repro.api.schema",
+    "SchemaError": "repro.api.schema",
+    "SimulateRequest": "repro.api.schema",
+    "RooflineRequest": "repro.api.schema",
+    "ScaleRequest": "repro.api.schema",
+    "SweepRequest": "repro.api.schema",
+    "ExploreRequest": "repro.api.schema",
+    "SimulateResult": "repro.api.schema",
+    "RooflineResult": "repro.api.schema",
+    "ScaleResult": "repro.api.schema",
+    "SweepResult": "repro.api.schema",
+    "ExploreResult": "repro.api.schema",
+    "ApiResult": "repro.api.schema",
+    "request_from_dict": "repro.api.schema",
+    "Session": "repro.api.session",
+    "ApiServer": "repro.api.service",
+    "create_server": "repro.api.service",
+    "serve": "repro.api.service",
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
+__all__ = list(_EXPORTS)

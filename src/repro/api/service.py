@@ -118,8 +118,13 @@ DEFAULT_MAX_BODY_MB = 8.0
 SSE_KEEPALIVE_SECONDS = 15.0
 
 
-class _ShutdownRequest(Exception):
-    """Raised out of ``serve_forever`` by the SIGTERM/SIGINT handlers."""
+class _ShutdownRequest(BaseException):
+    """Raised out of ``serve_forever`` by the SIGTERM/SIGINT handlers.
+
+    A ``BaseException``, like ``KeyboardInterrupt``: the signal can land
+    while the serving thread dispatches a request, where socketserver
+    catches and logs any ``Exception`` and would keep serving.
+    """
 
 
 class ApiRequestHandler(BaseHTTPRequestHandler):

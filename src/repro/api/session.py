@@ -103,8 +103,9 @@ class Session:
         fields override it.
     seed:
         Default model/dataset seed for requests that leave ``seed``
-        unset (the CLI default is 0, so identical invocations produce
-        identical traces and therefore cache hits).
+        unset (``None`` means 0, the CLI default, so identical
+        invocations produce identical traces and therefore cache hits).
+        A negative seed raises :class:`~repro.api.schema.SchemaError`.
     environ:
         Environment mapping for option resolution (tests pass a dict).
     max_cached_traces:
@@ -121,7 +122,7 @@ class Session:
         cache_dir: Optional[str] = None,
         telemetry_dir: Optional[str] = None,
         study_jobs: Optional[int] = None,
-        seed: int = 0,
+        seed: Optional[int] = 0,
         environ: Optional[Dict[str, str]] = None,
         max_cached_traces: int = 16,
     ):
@@ -135,6 +136,9 @@ class Session:
             # without a telemetry_dir leave the global state alone.
             configure_telemetry(self.options.telemetry_dir)
         self.seed = 0 if seed is None else int(seed)
+        if self.seed < 0:
+            # Every request leaving ``seed`` unset would fail mid-run.
+            raise SchemaError("Session.seed", f"must be >= 0, got {self.seed}")
         self.engine = SimulationEngine(
             cache_dir=self.options.cache_dir, memory_cache=True
         )
@@ -162,13 +166,17 @@ class Session:
     def _trace(
         self, model: str, epochs: int, batches_per_epoch: int,
         batch_size: int, seed: int, trace_max_batch: Optional[int] = None,
+        progress: Progress = None,
     ):
         """Train-and-trace one workload, memoised with LRU eviction.
 
         The LRU sits above the on-disk trace store of the session's
         ``cache_dir``; the ``session.trace`` span's ``source`` attribute
         names the tier that served the trace (memo, store or trained).
+        ``progress`` gets the training banner only when the model is
+        actually trained, else one line naming the tier.
         """
+        emit = progress or (lambda message: None)
         key = (model, epochs, batches_per_epoch, batch_size, seed,
                trace_max_batch)
         with get_tracer().span(
@@ -178,13 +186,24 @@ class Session:
             if key in self._traces:
                 self._traces.move_to_end(key)
                 span.set(source="memo")
+                emit(f"Reusing this session's {model} trace")
             else:
+                trained = False
+
+                def announce() -> None:
+                    nonlocal trained
+                    trained = True
+                    emit(f"Training {model} for {epochs} epoch(s)...")
+
                 self._traces[key] = trace_workload(
                     model, epochs=epochs, batches_per_epoch=batches_per_epoch,
                     batch_size=batch_size, seed=seed,
                     trace_max_batch=trace_max_batch,
                     cache_dir=self.options.cache_dir,
+                    on_train=announce,
                 )
+                if not trained:
+                    emit(f"Loaded the {model} trace from the trace store")
                 while len(self._traces) > self._max_cached_traces:
                     self._traces.popitem(last=False)
         _metrics.CACHED_TRACES.set(len(self._traces))
@@ -338,10 +357,9 @@ class Session:
         emit = progress or (lambda message: None)
         config = AcceleratorConfig().with_pe(datatype=request.datatype)
         emit(f"Accelerator: {config.describe()}")
-        emit(f"Training {request.model} for {request.epochs} epoch(s)...")
         trace = self._trace(
             request.model, request.epochs, request.batches_per_epoch,
-            request.batch_size, self._seed_for(request),
+            request.batch_size, self._seed_for(request), progress=progress,
         )
         runner = self._runner(config, request.max_groups)
         model_result = runner.run_final_epoch(trace)
@@ -373,10 +391,9 @@ class Session:
             sram_kb=request.sram_kb,
         )
         emit(f"Accelerator: {config.describe()}")
-        emit(f"Training {request.model} for {request.epochs} epoch(s)...")
         trace = self._trace(
             request.model, request.epochs, request.batches_per_epoch,
-            request.batch_size, self._seed_for(request),
+            request.batch_size, self._seed_for(request), progress=progress,
         )
         runner = self._runner(config, request.max_groups)
         model_result = runner.run_final_epoch(trace)
@@ -418,15 +435,14 @@ class Session:
         emit(f"Accelerator: {config.describe()}")
         emit(f"Scaling: {request.num_devices} device(s), "
              f"{request.partition} partition, {interconnect.describe()}")
-        emit(f"Training {request.model} for {request.epochs} epoch(s)...")
         trace = self._trace(
             request.model, request.epochs, request.batches_per_epoch,
             request.batch_size, self._seed_for(request),
-            trace_max_batch=request.trace_max_batch,
+            trace_max_batch=request.trace_max_batch, progress=progress,
         )
         # The simulator's own batch clip must not undo a raised trace
         # cap, or data-parallel shards collapse back onto the default.
-        from repro.training.trainer import DEFAULT_TRACE_MAX_BATCH
+        from repro.training.tracing import DEFAULT_TRACE_MAX_BATCH
 
         max_batch = (
             DEFAULT_TRACE_MAX_BATCH

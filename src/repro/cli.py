@@ -139,7 +139,6 @@ from typing import List, Optional, Tuple
 
 from repro._version import __version__
 from repro.analysis.reporting import format_engine_stats, format_table
-from repro.explore.spec import KNOBS, SCALE_KNOBS
 from repro.models.registry import MODEL_REGISTRY, available_models
 
 
@@ -279,8 +278,12 @@ def build_parser() -> argparse.ArgumentParser:
              "(a one-knob 'explore' study)",
     )
     sweep.add_argument("model", choices=available_models())
-    sweep.add_argument("--knob", choices=sorted(KNOBS) + sorted(SCALE_KNOBS),
-                       default="rows")
+    # No argparse choices: naming them would import the study machinery
+    # for every subcommand.  The request rejects an unknown knob instead,
+    # as a usage error that lists the known ones.
+    sweep.add_argument("--knob", default="rows",
+                       help="accelerator or scaling knob to sweep, e.g. rows, "
+                            "staging, datatype, num_devices (default: rows)")
     sweep.add_argument("--values", default="1,4,8,16",
                        help="comma-separated knob values")
     sweep.add_argument("--epochs", type=int, default=2)
@@ -482,7 +485,7 @@ def _session_for(args: argparse.Namespace):
         cache_dir=args.cache_dir,
         telemetry_dir=getattr(args, "telemetry_dir", None),
         study_jobs=getattr(args, "study_jobs", None),
-        seed=getattr(args, "seed", None) or 0,
+        seed=getattr(args, "seed", None),
     )
 
 

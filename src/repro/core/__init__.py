@@ -17,30 +17,25 @@ and 3.1-3.7 of the paper:
 * :mod:`repro.core.config` — Table 2 default configurations.
 """
 
-from repro.core.config import AcceleratorConfig, PEConfig, TileConfig
-from repro.core.interconnect import ConnectivityPattern
-from repro.core.scheduler import HardwareScheduler, Schedule, BatchScheduler
-from repro.core.pe import BaselinePE, TensorDashPE
-from repro.core.tile import BaselineTile, TensorDashTile
-from repro.core.accelerator import Accelerator
-from repro.core.backside import PreScheduler, ScheduledTensor
-from repro.core.dataflow import TileWorkPartitioner, MultiTileResult
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AcceleratorConfig",
-    "PEConfig",
-    "TileConfig",
-    "ConnectivityPattern",
-    "HardwareScheduler",
-    "Schedule",
-    "BatchScheduler",
-    "BaselinePE",
-    "TensorDashPE",
-    "BaselineTile",
-    "TensorDashTile",
-    "Accelerator",
-    "PreScheduler",
-    "ScheduledTensor",
-    "TileWorkPartitioner",
-    "MultiTileResult",
-]
+_EXPORTS = {
+    "AcceleratorConfig": "repro.core.config",
+    "PEConfig": "repro.core.config",
+    "TileConfig": "repro.core.config",
+    "ConnectivityPattern": "repro.core.interconnect",
+    "HardwareScheduler": "repro.core.scheduler",
+    "Schedule": "repro.core.scheduler",
+    "BatchScheduler": "repro.core.scheduler",
+    "BaselinePE": "repro.core.pe",
+    "TensorDashPE": "repro.core.pe",
+    "BaselineTile": "repro.core.tile",
+    "TensorDashTile": "repro.core.tile",
+    "Accelerator": "repro.core.accelerator",
+    "PreScheduler": "repro.core.backside",
+    "ScheduledTensor": "repro.core.backside",
+    "TileWorkPartitioner": "repro.core.dataflow",
+    "MultiTileResult": "repro.core.dataflow",
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
+__all__ = list(_EXPORTS)

@@ -1,17 +1,16 @@
 """Area, power and energy models for the baseline and TensorDash designs."""
 
-from repro.energy.area_model import AreaModel, AreaBreakdown
-from repro.energy.power_model import PowerModel, PowerBreakdown
-from repro.energy.energy_model import EnergyPerAccess
-from repro.energy.accounting import EnergyAccountant, EnergyBreakdown, EfficiencyReport
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AreaModel",
-    "AreaBreakdown",
-    "PowerModel",
-    "PowerBreakdown",
-    "EnergyPerAccess",
-    "EnergyAccountant",
-    "EnergyBreakdown",
-    "EfficiencyReport",
-]
+_EXPORTS = {
+    "AreaModel": "repro.energy.area_model",
+    "AreaBreakdown": "repro.energy.area_model",
+    "PowerModel": "repro.energy.power_model",
+    "PowerBreakdown": "repro.energy.power_model",
+    "EnergyPerAccess": "repro.energy.energy_model",
+    "EnergyAccountant": "repro.energy.accounting",
+    "EnergyBreakdown": "repro.energy.accounting",
+    "EfficiencyReport": "repro.energy.accounting",
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
+__all__ = list(_EXPORTS)

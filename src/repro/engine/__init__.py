@@ -15,24 +15,18 @@ the benchmark harness):
   ``REPRO_*`` env var > default) is decided for every entry point.
 """
 
-from repro.engine.cache import (
-    CACHE_SCHEMA_VERSION,
-    ResultCache,
-    config_fingerprint,
-    layer_key,
-    trace_fingerprint,
-)
-from repro.engine.engine import EngineStats, SimulationEngine
-from repro.engine.options import EngineOptions, resolve_engine_options
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ResultCache",
-    "CACHE_SCHEMA_VERSION",
-    "config_fingerprint",
-    "trace_fingerprint",
-    "layer_key",
-    "EngineStats",
-    "SimulationEngine",
-    "EngineOptions",
-    "resolve_engine_options",
-]
+_EXPORTS = {
+    "ResultCache": "repro.engine.cache",
+    "CACHE_SCHEMA_VERSION": "repro.engine.cache",
+    "config_fingerprint": "repro.engine.cache",
+    "trace_fingerprint": "repro.engine.cache",
+    "layer_key": "repro.engine.cache",
+    "EngineStats": "repro.engine.engine",
+    "SimulationEngine": "repro.engine.engine",
+    "EngineOptions": "repro.engine.options",
+    "resolve_engine_options": "repro.engine.options",
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
+__all__ = list(_EXPORTS)

@@ -36,53 +36,30 @@ S`` and ``--objectives``); ``repro sweep`` is a thin one-knob alias over
 the same machinery.
 """
 
-from repro.explore.executor import StudyExecutor
-from repro.explore.runner import (
-    PointResult,
-    StudyResult,
-    StudyResumeError,
-    StudyRunner,
-)
-from repro.explore.scenarios import apply_scenario, parse_scenario
-from repro.explore.spec import (
-    DEFAULT_OBJECTIVES,
-    KNOBS,
-    METRIC_ORIENTATIONS,
-    SCALE_KNOBS,
-    DesignPoint,
-    StudySpec,
-    parse_objectives,
-)
-from repro.explore.report import (
-    format_frontier_table,
-    format_points_table,
-    format_scaling_section,
-    format_study_report,
-    study_to_csv,
-    study_to_dict,
-    study_to_json,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "StudySpec",
-    "DesignPoint",
-    "KNOBS",
-    "SCALE_KNOBS",
-    "METRIC_ORIENTATIONS",
-    "DEFAULT_OBJECTIVES",
-    "parse_objectives",
-    "parse_scenario",
-    "apply_scenario",
-    "StudyRunner",
-    "StudyExecutor",
-    "StudyResult",
-    "StudyResumeError",
-    "PointResult",
-    "format_study_report",
-    "format_points_table",
-    "format_frontier_table",
-    "format_scaling_section",
-    "study_to_dict",
-    "study_to_json",
-    "study_to_csv",
-]
+_EXPORTS = {
+    "StudySpec": "repro.explore.spec",
+    "DesignPoint": "repro.explore.spec",
+    "KNOBS": "repro.explore.spec",
+    "SCALE_KNOBS": "repro.explore.spec",
+    "METRIC_ORIENTATIONS": "repro.explore.spec",
+    "DEFAULT_OBJECTIVES": "repro.explore.spec",
+    "parse_objectives": "repro.explore.spec",
+    "parse_scenario": "repro.explore.scenarios",
+    "apply_scenario": "repro.explore.scenarios",
+    "StudyRunner": "repro.explore.runner",
+    "StudyExecutor": "repro.explore.executor",
+    "StudyResult": "repro.explore.runner",
+    "StudyResumeError": "repro.explore.runner",
+    "PointResult": "repro.explore.runner",
+    "format_study_report": "repro.explore.report",
+    "format_points_table": "repro.explore.report",
+    "format_frontier_table": "repro.explore.report",
+    "format_scaling_section": "repro.explore.report",
+    "study_to_dict": "repro.explore.report",
+    "study_to_json": "repro.explore.report",
+    "study_to_csv": "repro.explore.report",
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
+__all__ = list(_EXPORTS)

@@ -280,7 +280,7 @@ class StudyRunner:
 
     def _max_batch(self) -> int:
         """Simulation-time batch clip honouring a raised trace cap."""
-        from repro.training.trainer import DEFAULT_TRACE_MAX_BATCH
+        from repro.training.tracing import DEFAULT_TRACE_MAX_BATCH
 
         if self.spec.trace_max_batch is None:
             return DEFAULT_TRACE_MAX_BATCH

@@ -14,16 +14,13 @@ Jobs move ``queued -> running -> succeeded | failed | cancelled``;
 ``docs/jobs.md`` for the lifecycle walkthrough.
 """
 
-from repro.jobs.store import (
-    JobCancelled,
-    JobStore,
-    JobStoreClosed,
-    UnknownJob,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "JobCancelled",
-    "JobStore",
-    "JobStoreClosed",
-    "UnknownJob",
-]
+_EXPORTS = {
+    "JobCancelled": "repro.jobs.store",
+    "JobStore": "repro.jobs.store",
+    "JobStoreClosed": "repro.jobs.store",
+    "UnknownJob": "repro.jobs.store",
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
+__all__ = list(_EXPORTS)

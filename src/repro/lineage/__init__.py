@@ -29,26 +29,20 @@ Everything is surfaced as ``repro diff`` (CLI), ``POST /v1/diff`` +
 ``regression-watch`` job.  See ``docs/lineage.md``.
 """
 
-from repro.lineage.snapshot import ManifestSnapshot, SnapshotError, SnapshotPoint
-from repro.lineage.diff import LineageDiff, MetricDelta, diff_snapshots
-from repro.lineage.bench import (
-    BENCH_SCHEMAS,
-    WatchedMetric,
-    diff_bench,
-    load_bench_side,
-    validate_bench_payload,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BENCH_SCHEMAS",
-    "LineageDiff",
-    "ManifestSnapshot",
-    "MetricDelta",
-    "SnapshotError",
-    "SnapshotPoint",
-    "WatchedMetric",
-    "diff_bench",
-    "diff_snapshots",
-    "load_bench_side",
-    "validate_bench_payload",
-]
+_EXPORTS = {
+    "BENCH_SCHEMAS": "repro.lineage.bench",
+    "LineageDiff": "repro.lineage.diff",
+    "ManifestSnapshot": "repro.lineage.snapshot",
+    "MetricDelta": "repro.lineage.diff",
+    "SnapshotError": "repro.lineage.snapshot",
+    "SnapshotPoint": "repro.lineage.snapshot",
+    "WatchedMetric": "repro.lineage.bench",
+    "diff_bench": "repro.lineage.bench",
+    "diff_snapshots": "repro.lineage.diff",
+    "load_bench_side": "repro.lineage.bench",
+    "validate_bench_payload": "repro.lineage.bench",
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
+__all__ = list(_EXPORTS)

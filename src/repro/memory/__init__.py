@@ -7,23 +7,18 @@ The 16-channel grouped tensor layout is implemented by
 :class:`~repro.memory.traffic.MemoryTraffic` and
 :class:`~repro.energy.accounting.EnergyAccountant`."""
 
-from repro.memory.dram import DRAMModel
-from repro.memory.compression import (
-    CompressingDMA,
-    run_length_encode,
-    run_length_decode,
-)
-from repro.memory.traffic import TrafficCounter, MemoryTraffic
-from repro.memory.hierarchy import MemoryHierarchy, MemoryVerdict, bytes_per_cycle
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DRAMModel",
-    "CompressingDMA",
-    "run_length_encode",
-    "run_length_decode",
-    "TrafficCounter",
-    "MemoryTraffic",
-    "MemoryHierarchy",
-    "MemoryVerdict",
-    "bytes_per_cycle",
-]
+_EXPORTS = {
+    "DRAMModel": "repro.memory.dram",
+    "CompressingDMA": "repro.memory.compression",
+    "run_length_encode": "repro.memory.compression",
+    "run_length_decode": "repro.memory.compression",
+    "TrafficCounter": "repro.memory.traffic",
+    "MemoryTraffic": "repro.memory.traffic",
+    "MemoryHierarchy": "repro.memory.hierarchy",
+    "MemoryVerdict": "repro.memory.hierarchy",
+    "bytes_per_cycle": "repro.memory.hierarchy",
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
+__all__ = list(_EXPORTS)

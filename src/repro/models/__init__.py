@@ -12,34 +12,22 @@ connections (ResNet), concatenation (DenseNet/SqueezeNet), dropout
 (AlexNet/VGG) and gated linear units without ReLU (GCN).
 """
 
-from repro.models.alexnet import build_alexnet
-from repro.models.vgg import build_vgg16
-from repro.models.resnet import build_resnet50
-from repro.models.densenet import build_densenet121
-from repro.models.squeezenet import build_squeezenet
-from repro.models.img2txt import build_img2txt
-from repro.models.snli import build_snli
-from repro.models.gcn import build_gcn
-from repro.models.registry import (
-    ModelSpec,
-    MODEL_REGISTRY,
-    build_model,
-    build_dataset,
-    available_models,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "build_alexnet",
-    "build_vgg16",
-    "build_resnet50",
-    "build_densenet121",
-    "build_squeezenet",
-    "build_img2txt",
-    "build_snli",
-    "build_gcn",
-    "ModelSpec",
-    "MODEL_REGISTRY",
-    "build_model",
-    "build_dataset",
-    "available_models",
-]
+_EXPORTS = {
+    "build_alexnet": "repro.models.alexnet",
+    "build_vgg16": "repro.models.vgg",
+    "build_resnet50": "repro.models.resnet",
+    "build_densenet121": "repro.models.densenet",
+    "build_squeezenet": "repro.models.squeezenet",
+    "build_img2txt": "repro.models.img2txt",
+    "build_snli": "repro.models.snli",
+    "build_gcn": "repro.models.gcn",
+    "ModelSpec": "repro.models.registry",
+    "MODEL_REGISTRY": "repro.models.registry",
+    "build_model": "repro.models.registry",
+    "build_dataset": "repro.models.registry",
+    "available_models": "repro.models.registry",
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
+__all__ = list(_EXPORTS)

@@ -12,20 +12,16 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Union
 
-from repro.models.alexnet import build_alexnet
-from repro.models.densenet import build_densenet121
-from repro.models.gcn import build_gcn
-from repro.models.img2txt import build_img2txt
-from repro.models.resnet import build_resnet50
-from repro.models.snli import build_snli
-from repro.models.squeezenet import build_squeezenet
-from repro.models.vgg import build_vgg16
-from repro.training.data import SyntheticImageDataset, SyntheticSequenceDataset
+import repro.models as zoo
 
 
 @dataclass
 class ModelSpec:
-    """One workload: model factory, dataset factory and optional pruning."""
+    """One workload: model factory, dataset factory and optional pruning.
+
+    The factories reach the builders through the lazy :mod:`repro.models`
+    exports, so listing or looking up workloads imports no model code.
+    """
 
     name: str
     build: Callable[..., object]
@@ -36,11 +32,15 @@ class ModelSpec:
     num_classes: int = 10
 
 
-def _image_dataset(num_classes: int = 10, seed: int = 0) -> SyntheticImageDataset:
+def _image_dataset(num_classes: int = 10, seed: int = 0):
+    from repro.training.data import SyntheticImageDataset
+
     return SyntheticImageDataset(num_classes=num_classes, channels=3, size=32, seed=seed)
 
 
 def _sequence_dataset(num_classes: int, vocab: int = 512, length: int = 20, seed: int = 0):
+    from repro.training.data import SyntheticSequenceDataset
+
     return SyntheticSequenceDataset(
         vocab_size=vocab, sequence_length=length, num_classes=num_classes, seed=seed
     )
@@ -49,65 +49,65 @@ def _sequence_dataset(num_classes: int, vocab: int = 512, length: int = 20, seed
 MODEL_REGISTRY: Dict[str, ModelSpec] = {
     "alexnet": ModelSpec(
         name="alexnet",
-        build=build_alexnet,
+        build=lambda **kwargs: zoo.build_alexnet(**kwargs),
         dataset=_image_dataset,
         description="Scaled AlexNet, ImageNet-classification stand-in",
     ),
     "vgg16": ModelSpec(
         name="vgg16",
-        build=build_vgg16,
+        build=lambda **kwargs: zoo.build_vgg16(**kwargs),
         dataset=_image_dataset,
         description="Scaled VGG-16, ImageNet-classification stand-in",
     ),
     "resnet50": ModelSpec(
         name="resnet50",
-        build=build_resnet50,
+        build=lambda **kwargs: zoo.build_resnet50(**kwargs),
         dataset=_image_dataset,
         description="Scaled ResNet-50 (dense training)",
     ),
     "resnet50_DS90": ModelSpec(
         name="resnet50_DS90",
-        build=build_resnet50,
+        build=lambda **kwargs: zoo.build_resnet50(**kwargs),
         dataset=_image_dataset,
         pruning="dynamic_sparse",
         description="ResNet-50 trained with dynamic sparse reparameterization (90% target)",
     ),
     "resnet50_SM90": ModelSpec(
         name="resnet50_SM90",
-        build=build_resnet50,
+        build=lambda **kwargs: zoo.build_resnet50(**kwargs),
         dataset=_image_dataset,
         pruning="sparse_momentum",
         description="ResNet-50 trained with sparse momentum (90% target)",
     ),
     "densenet121": ModelSpec(
         name="densenet121",
-        build=build_densenet121,
+        build=lambda **kwargs: zoo.build_densenet121(**kwargs),
         dataset=_image_dataset,
         description="Scaled DenseNet-121 (BN between conv and ReLU)",
     ),
     "squeezenet": ModelSpec(
         name="squeezenet",
-        build=build_squeezenet,
+        build=lambda **kwargs: zoo.build_squeezenet(**kwargs),
         dataset=_image_dataset,
         description="Scaled SqueezeNet (fire modules)",
     ),
     "img2txt": ModelSpec(
         name="img2txt",
-        build=build_img2txt,
+        build=lambda **kwargs: zoo.build_img2txt(**kwargs),
         dataset=lambda num_classes=128, seed=0: _image_dataset(num_classes=num_classes, seed=seed),
         description="Image-captioning stand-in (conv encoder + FC decoder)",
         num_classes=128,
     ),
     "snli": ModelSpec(
         name="snli",
-        build=build_snli,
+        build=lambda **kwargs: zoo.build_snli(**kwargs),
         dataset=lambda num_classes=3, seed=0: _sequence_dataset(num_classes=3, seed=seed),
         description="SNLI natural-language-inference stand-in",
         num_classes=3,
     ),
     "gcn": ModelSpec(
         name="gcn",
-        build=build_gcn,
+        build=lambda **kwargs: zoo.build_gcn(**kwargs),
         dataset=lambda num_classes=512, seed=0: _sequence_dataset(num_classes=512, seed=seed),
         description="Gated convolutional language model (virtually no sparsity)",
         num_classes=512,
@@ -162,6 +162,7 @@ def trace_workload(
     learning_rate: float = 0.01,
     trace_max_batch: Optional[int] = None,
     cache_dir: Optional[Union[str, Path]] = None,
+    on_train: Optional[Callable[[], None]] = None,
 ):
     """Train a registered workload briefly and return its operand traces.
 
@@ -182,13 +183,12 @@ def trace_workload(
     trained only on a miss, which then stores the trace.  The innermost
     open telemetry span (the session's ``session.trace``) records where
     the trace came from as ``source="store"`` or ``source="trained"``.
+    ``on_train`` is called just before training starts, and never when
+    the store serves the trace (the session prints its training banner
+    there).
     """
-    # Imported lazily: repro.training imports this module's datasets, so a
-    # top-level import would be circular.
-    from repro.nn.optim import MomentumSGD
     from repro.telemetry.tracing import get_tracer
     from repro.training.store import TraceStore, trace_key
-    from repro.training.trainer import Trainer, TrainingConfig
 
     span = get_tracer().current_span()
     store = key = None
@@ -202,6 +202,13 @@ def trace_workload(
                 span.set(source="store")
             return trace
 
+    # The training stack is imported only on a miss: a store hit runs
+    # none of it.
+    from repro.nn.optim import MomentumSGD
+    from repro.training.trainer import Trainer, TrainingConfig
+
+    if on_train is not None:
+        on_train()
     model = build_model(name, seed=seed)
     dataset = build_dataset(name, seed=seed)
     optimizer = MomentumSGD(model.parameters(), lr=learning_rate)

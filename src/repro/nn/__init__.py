@@ -17,38 +17,29 @@ so that :mod:`repro.training.tracing` can snapshot them without re-running
 the math.
 """
 
-from repro.nn.module import Module, Parameter
-from repro.nn.layers.conv import Conv2D
-from repro.nn.layers.linear import Linear
-from repro.nn.layers.activation import ReLU
-from repro.nn.layers.normalization import BatchNorm2D
-from repro.nn.layers.pooling import MaxPool2D, AvgPool2D, GlobalAvgPool2D
-from repro.nn.layers.shape import Flatten, Concat, Add
-from repro.nn.layers.dropout import Dropout
-from repro.nn.layers.embedding import Embedding
-from repro.nn.model import Sequential, Graph
-from repro.nn.losses import CrossEntropyLoss, softmax
-from repro.nn.optim import SGD, MomentumSGD
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Module",
-    "Parameter",
-    "Conv2D",
-    "Linear",
-    "ReLU",
-    "BatchNorm2D",
-    "MaxPool2D",
-    "AvgPool2D",
-    "GlobalAvgPool2D",
-    "Flatten",
-    "Concat",
-    "Add",
-    "Dropout",
-    "Embedding",
-    "Sequential",
-    "Graph",
-    "CrossEntropyLoss",
-    "softmax",
-    "SGD",
-    "MomentumSGD",
-]
+_EXPORTS = {
+    "Module": "repro.nn.module",
+    "Parameter": "repro.nn.module",
+    "Conv2D": "repro.nn.layers.conv",
+    "Linear": "repro.nn.layers.linear",
+    "ReLU": "repro.nn.layers.activation",
+    "BatchNorm2D": "repro.nn.layers.normalization",
+    "MaxPool2D": "repro.nn.layers.pooling",
+    "AvgPool2D": "repro.nn.layers.pooling",
+    "GlobalAvgPool2D": "repro.nn.layers.pooling",
+    "Flatten": "repro.nn.layers.shape",
+    "Concat": "repro.nn.layers.shape",
+    "Add": "repro.nn.layers.shape",
+    "Dropout": "repro.nn.layers.dropout",
+    "Embedding": "repro.nn.layers.embedding",
+    "Sequential": "repro.nn.model",
+    "Graph": "repro.nn.model",
+    "CrossEntropyLoss": "repro.nn.losses",
+    "softmax": "repro.nn.losses",
+    "SGD": "repro.nn.optim",
+    "MomentumSGD": "repro.nn.optim",
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
+__all__ = list(_EXPORTS)

@@ -1,25 +1,20 @@
 """Layer implementations for the numpy training substrate."""
 
-from repro.nn.layers.conv import Conv2D
-from repro.nn.layers.linear import Linear
-from repro.nn.layers.activation import ReLU
-from repro.nn.layers.normalization import BatchNorm2D
-from repro.nn.layers.pooling import MaxPool2D, AvgPool2D, GlobalAvgPool2D
-from repro.nn.layers.shape import Flatten, Concat, Add
-from repro.nn.layers.dropout import Dropout
-from repro.nn.layers.embedding import Embedding
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Conv2D",
-    "Linear",
-    "ReLU",
-    "BatchNorm2D",
-    "MaxPool2D",
-    "AvgPool2D",
-    "GlobalAvgPool2D",
-    "Flatten",
-    "Concat",
-    "Add",
-    "Dropout",
-    "Embedding",
-]
+_EXPORTS = {
+    "Conv2D": "repro.nn.layers.conv",
+    "Linear": "repro.nn.layers.linear",
+    "ReLU": "repro.nn.layers.activation",
+    "BatchNorm2D": "repro.nn.layers.normalization",
+    "MaxPool2D": "repro.nn.layers.pooling",
+    "AvgPool2D": "repro.nn.layers.pooling",
+    "GlobalAvgPool2D": "repro.nn.layers.pooling",
+    "Flatten": "repro.nn.layers.shape",
+    "Concat": "repro.nn.layers.shape",
+    "Add": "repro.nn.layers.shape",
+    "Dropout": "repro.nn.layers.dropout",
+    "Embedding": "repro.nn.layers.embedding",
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
+__all__ = list(_EXPORTS)

@@ -16,12 +16,12 @@ Both methods convert weights to zero during training, which TensorDash can
 exploit on top of the naturally occurring activation/gradient sparsity.
 """
 
-from repro.pruning.magnitude import MagnitudePruner
-from repro.pruning.dynamic_sparse import DynamicSparseReparameterization
-from repro.pruning.sparse_momentum import SparseMomentumPruner
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "MagnitudePruner",
-    "DynamicSparseReparameterization",
-    "SparseMomentumPruner",
-]
+_EXPORTS = {
+    "MagnitudePruner": "repro.pruning.magnitude",
+    "DynamicSparseReparameterization": "repro.pruning.dynamic_sparse",
+    "SparseMomentumPruner": "repro.pruning.sparse_momentum",
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
+__all__ = list(_EXPORTS)

@@ -19,38 +19,22 @@ the ``num_devices`` / ``partition`` / ``link_gbps`` knobs of
 assumptions and a worked 1-to-8-device example.
 """
 
-from repro.scale.interconnect import (
-    DEFAULT_HOP_LATENCY_CYCLES,
-    DEFAULT_LINK_GBPS,
-    Interconnect,
-)
-from repro.scale.partition import (
-    PARTITIONS,
-    check_partition,
-    partition_data,
-    partition_pipeline,
-    stage_boundary_bytes,
-    weight_gradient_bytes,
-)
-from repro.scale.report import (
-    DeviceResult,
-    ScalingReport,
-    format_scaling_report,
-)
-from repro.scale.runner import ScaleRunner
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DEFAULT_LINK_GBPS",
-    "DEFAULT_HOP_LATENCY_CYCLES",
-    "Interconnect",
-    "PARTITIONS",
-    "check_partition",
-    "partition_data",
-    "partition_pipeline",
-    "weight_gradient_bytes",
-    "stage_boundary_bytes",
-    "DeviceResult",
-    "ScalingReport",
-    "format_scaling_report",
-    "ScaleRunner",
-]
+_EXPORTS = {
+    "DEFAULT_LINK_GBPS": "repro.scale.interconnect",
+    "DEFAULT_HOP_LATENCY_CYCLES": "repro.scale.interconnect",
+    "Interconnect": "repro.scale.interconnect",
+    "PARTITIONS": "repro.scale.partition",
+    "check_partition": "repro.scale.partition",
+    "partition_data": "repro.scale.partition",
+    "partition_pipeline": "repro.scale.partition",
+    "weight_gradient_bytes": "repro.scale.partition",
+    "stage_boundary_bytes": "repro.scale.partition",
+    "DeviceResult": "repro.scale.report",
+    "ScalingReport": "repro.scale.report",
+    "format_scaling_report": "repro.scale.report",
+    "ScaleRunner": "repro.scale.runner",
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
+__all__ = list(_EXPORTS)

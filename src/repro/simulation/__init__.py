@@ -5,26 +5,20 @@ The potential speedup of Fig. 1 is
 :meth:`~repro.simulation.runner.ExperimentRunner.potential_speedups_from_trace`.
 """
 
-from repro.simulation.streams import (
-    StreamExtractor,
-    forward_streams,
-    input_gradient_streams,
-    weight_gradient_streams,
-)
-from repro.simulation.cycle_sim import LayerSimulator, LayerResult
-from repro.simulation.inference import FullyConnectedInference, conv_activation_groups
-from repro.simulation.runner import ExperimentRunner, ModelResult, simulate_model_training
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "StreamExtractor",
-    "forward_streams",
-    "input_gradient_streams",
-    "weight_gradient_streams",
-    "LayerSimulator",
-    "LayerResult",
-    "FullyConnectedInference",
-    "conv_activation_groups",
-    "ExperimentRunner",
-    "ModelResult",
-    "simulate_model_training",
-]
+_EXPORTS = {
+    "StreamExtractor": "repro.simulation.streams",
+    "forward_streams": "repro.simulation.streams",
+    "input_gradient_streams": "repro.simulation.streams",
+    "weight_gradient_streams": "repro.simulation.streams",
+    "LayerSimulator": "repro.simulation.cycle_sim",
+    "LayerResult": "repro.simulation.cycle_sim",
+    "FullyConnectedInference": "repro.simulation.inference",
+    "conv_activation_groups": "repro.simulation.inference",
+    "ExperimentRunner": "repro.simulation.runner",
+    "ModelResult": "repro.simulation.runner",
+    "simulate_model_training": "repro.simulation.runner",
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
+__all__ = list(_EXPORTS)

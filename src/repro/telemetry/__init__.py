@@ -23,27 +23,21 @@ self/total times — the ``repro trace`` subcommand.
 See ``docs/observability.md`` for the span model and metrics catalogue.
 """
 
-from repro.telemetry.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    get_registry,
-)
-from repro.telemetry.tracing import Span, Tracer, configure, get_tracer, traced
-from repro.telemetry.schema import TelemetryRecordError, validate_record
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "Span",
-    "TelemetryRecordError",
-    "Tracer",
-    "configure",
-    "get_registry",
-    "get_tracer",
-    "traced",
-    "validate_record",
-]
+_EXPORTS = {
+    "Counter": "repro.telemetry.metrics",
+    "Gauge": "repro.telemetry.metrics",
+    "Histogram": "repro.telemetry.metrics",
+    "MetricsRegistry": "repro.telemetry.metrics",
+    "Span": "repro.telemetry.tracing",
+    "TelemetryRecordError": "repro.telemetry.schema",
+    "Tracer": "repro.telemetry.tracing",
+    "configure": "repro.telemetry.tracing",
+    "get_registry": "repro.telemetry.metrics",
+    "get_tracer": "repro.telemetry.tracing",
+    "traced": "repro.telemetry.tracing",
+    "validate_record": "repro.telemetry.schema",
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
+__all__ = list(_EXPORTS)

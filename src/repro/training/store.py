@@ -42,8 +42,12 @@ import numpy as np
 
 from repro._atomic import atomic_write
 from repro.telemetry import metrics as _metrics
-from repro.training.tracing import EpochTrace, LayerTrace, TrainingTrace
-from repro.training.trainer import DEFAULT_TRACE_MAX_BATCH
+from repro.training.tracing import (
+    DEFAULT_TRACE_MAX_BATCH,
+    EpochTrace,
+    LayerTrace,
+    TrainingTrace,
+)
 
 #: Bump to orphan every stored trace after a format change.
 TRACE_SCHEMA_VERSION = 1

@@ -11,13 +11,20 @@ scheduler's behaviour depends on) plus sparsity summary statistics.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 import numpy as np
 
-from repro.nn.layers.conv import Conv2D
-from repro.nn.layers.linear import Linear
-from repro.nn.module import Module
+if TYPE_CHECKING:
+    from repro.nn.module import Module
+
+#: Samples kept per traced convolutional layer unless a caller raises
+#: the cap (multi-device scaling does, so data-parallel shards balance).
+#: Referenced by the session/study layers so their simulation-time batch
+#: clip can never drift from what the trainer actually traced.  It lives
+#: here, beside the traces, because the trace store keys on it and must
+#: not import the training framework to read it.
+DEFAULT_TRACE_MAX_BATCH = 4
 
 
 @dataclass
@@ -111,7 +118,10 @@ class TraceCollector:
         per-sample phenomena, so a few samples suffice).
     """
 
-    def __init__(self, store_masks: bool = True, max_batch: Optional[int] = 4):
+    def __init__(
+        self, store_masks: bool = True,
+        max_batch: Optional[int] = DEFAULT_TRACE_MAX_BATCH,
+    ):
         self.store_masks = store_masks
         self.max_batch = max_batch
 
@@ -129,6 +139,9 @@ class TraceCollector:
 
     def collect(self, model: Module, epoch: int) -> EpochTrace:
         """Snapshot all traceable layers after a forward/backward pass."""
+        from repro.nn.layers.conv import Conv2D
+        from repro.nn.layers.linear import Linear
+
         trace = EpochTrace(epoch=epoch)
         for layer in model.traceable_modules():
             operands = layer.trace_operands()

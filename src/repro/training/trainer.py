@@ -17,7 +17,7 @@ import numpy as np
 from repro.nn.losses import CrossEntropyLoss
 from repro.nn.module import Module
 from repro.nn.optim import Optimizer
-from repro.training.tracing import TraceCollector, TrainingTrace
+from repro.training.tracing import DEFAULT_TRACE_MAX_BATCH, TraceCollector, TrainingTrace
 
 
 class BatchSampler(Protocol):
@@ -25,13 +25,6 @@ class BatchSampler(Protocol):
 
     def sample_batch(self, batch_size: int) -> Tuple[np.ndarray, np.ndarray]:
         ...
-
-
-#: Samples kept per traced convolutional layer unless a caller raises
-#: the cap (multi-device scaling does, so data-parallel shards balance).
-#: Referenced by the session/study layers so their simulation-time batch
-#: clip can never drift from what the trainer actually traced.
-DEFAULT_TRACE_MAX_BATCH = 4
 
 
 @dataclass

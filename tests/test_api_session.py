@@ -179,6 +179,19 @@ class TestSubmit:
         assert any(line.startswith("Accelerator:") for line in lines)
         assert any("Training snli" in line for line in lines)
 
+    def test_memo_hit_prints_no_training_banner(self):
+        session = Session()
+        first, second = [], []
+        session.simulate("snli", progress=first.append, **FAST)
+        session.roofline("snli", progress=second.append, **FAST)
+        assert "Training snli for 1 epoch(s)..." in first
+        assert not [line for line in second if "Training" in line]
+        assert "Reusing this session's snli trace" in second
+
+    def test_negative_session_seed_is_rejected(self):
+        with pytest.raises(ValueError, match="Session.seed"):
+            Session(seed=-1)
+
     def test_stats_counts_requests_and_caches(self):
         session = Session()
         session.simulate("snli", **FAST)

@@ -138,6 +138,42 @@ class TestCommands:
         assert excinfo.value.code == 2
         assert "SimulateRequest.seed" in capsys.readouterr().err
 
+    def test_negative_serve_seed_is_a_usage_error(self, capsys, monkeypatch):
+        import repro.api.service
+
+        # Stands in for a server that would start with the bad seed.
+        monkeypatch.setattr(repro.api.service, "serve", lambda **kwargs: 0)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--seed", "-1"])
+        assert excinfo.value.code == 2
+        assert "Session.seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed, expected", [(None, 0), (0, 0), (7, 7)])
+    def test_session_seed_follows_the_flag(self, seed, expected):
+        import argparse
+
+        from repro.cli import _session_for
+
+        args = argparse.Namespace(cache_dir=None, seed=seed)
+        assert _session_for(args).seed == expected
+
+    def test_unknown_sweep_knob_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", "snli", "--knob", "bogus"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "bogus" in err and "staging" in err
+
+    def test_warm_run_prints_no_training_banner(self, tmp_path, capsys):
+        argv = ["simulate", "snli", "--epochs", "1", "--batches-per-epoch", "1",
+                "--batch-size", "4", "--max-groups", "8", "--cache-dir", str(tmp_path)]
+        assert main(argv) == 0
+        assert "Training snli for 1 epoch(s)..." in capsys.readouterr().out
+        assert main(argv) == 0   # a new session: the trace comes from the store
+        lines = capsys.readouterr().out.splitlines()
+        assert not [line for line in lines if "Training" in line]
+        assert "Loaded the snli trace from the trace store" in lines
+
     def test_fractional_integer_knob_value_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["sweep", "snli", "--knob", "rows", "--values", "1.5"])
@@ -190,6 +226,56 @@ class TestCommands:
         assert envelope.result.roofline["points"]
 
 
+def _under(module: str, *roots: str) -> bool:
+    return any(module == root or module.startswith(root + ".") for root in roots)
+
+
+def _repro_packages():
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parent.parent / "src"
+    return sorted(
+        ".".join(path.parent.relative_to(src).parts)
+        for path in (src / "repro").rglob("__init__.py")
+    )
+
+
+def _run_python(script: str):
+    """Run ``script`` in a fresh interpreter; its last stdout line as JSON."""
+    import json
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def _modules_after(argv):
+    """Modules a fresh ``repro`` process has loaded after running ``argv``
+    (after only ``import repro.cli`` when ``argv`` is None)."""
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from repro.cli import main\n"
+        f"argv = {argv!r}\n"
+        "if argv is not None:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        try:\n"
+        "            main(argv)\n"
+        "        except SystemExit:\n"
+        "            pass\n"
+        "print(json.dumps(sorted(sys.modules)))\n"
+    )
+    return _run_python(script)
+
+
 class TestImportCost:
     def test_cli_import_skips_the_http_service(self):
         """``import repro.cli`` must not load ``http.server``; the service
@@ -221,3 +307,55 @@ class TestImportCost:
 
         with pytest.raises(AttributeError):
             repro.api.not_a_name
+
+    @pytest.mark.parametrize("argv", [
+        ["list-models"], ["diff", "--help"], ["jobs", "--help"], ["trace", "--help"],
+    ], ids=lambda argv: argv[0])
+    def test_light_subcommands_skip_numpy_and_explore(self, argv):
+        loaded = _modules_after(argv)
+        heavy = sorted(m for m in loaded if _under(m, "numpy", "repro.explore"))
+        assert not heavy
+
+    def test_warm_simulate_loads_only_what_it_runs(self, tmp_path, capsys):
+        argv = ["simulate", "snli", "--epochs", "1", "--batches-per-epoch", "1",
+                "--batch-size", "4", "--max-groups", "8", "--format", "json",
+                "--cache-dir", str(tmp_path)]
+        assert main(argv) == 0   # cold: trains and fills the cache
+        capsys.readouterr()
+        loaded = _modules_after(argv)
+        builders = [f"repro.models.{name}" for name in (
+            "alexnet", "densenet", "gcn", "img2txt", "resnet", "snli",
+            "squeezenet", "vgg")]
+        unused = sorted(m for m in loaded if _under(
+            m, "repro.nn", "repro.pruning", "repro.training.trainer",
+            "repro.training.data", "repro.explore.runner",
+            "repro.analysis.roofline", "repro.api.service", *builders))
+        assert not unused
+
+    def test_cli_import_loads_few_repro_modules(self):
+        loaded = _modules_after(None)
+        assert len([m for m in loaded if _under(m, "repro")]) <= 25
+
+    def test_package_inits_import_no_submodule(self):
+        # A package __init__ only lists names; importing every package
+        # loads the packages and the lazy-export helper, nothing else.
+        packages = _repro_packages()
+        script = (
+            "import importlib, json, sys\n"
+            f"for name in {packages!r}:\n"
+            "    importlib.import_module(name)\n"
+            "print(json.dumps(sorted(m for m in sys.modules if m.startswith('repro'))))\n"
+        )
+        loaded = _run_python(script)
+        assert sorted(loaded) == sorted(packages + ["repro._lazy"])
+
+    @pytest.mark.parametrize("package", _repro_packages())
+    def test_every_lazy_export_resolves(self, package):
+        import importlib
+
+        module = importlib.import_module(package)
+        assert list(module._EXPORTS) == module.__all__
+        for name, source in module._EXPORTS.items():
+            assert getattr(module, name) is getattr(importlib.import_module(source), name)
+        assert set(module.__all__) <= set(dir(module))
+

@@ -461,6 +461,38 @@ class TestGracefulShutdown:
         with pytest.raises(urllib.error.URLError):
             _request(base + "/v1/jobs", "POST", SIMULATE)
 
+    def test_shutdown_signal_during_request_dispatch_stops_serving(self, monkeypatch):
+        """A SIGTERM landing while the serving thread dispatches a
+        request must end ``serve_forever``; socketserver swallows any
+        ``Exception`` raised there."""
+        import socket
+
+        from repro.api import service
+
+        def interrupted(self, request, client_address):
+            raise service._ShutdownRequest("SIGTERM")
+
+        server = create_server(port=0, session=self._GateSession(), quiet=True)
+        monkeypatch.setattr(type(server), "process_request", interrupted)
+
+        stopped = threading.Event()
+
+        def connect_then_give_up():
+            socket.create_connection(server.server_address[:2], timeout=5).close()
+            if not stopped.wait(timeout=5.0):
+                server.shutdown()   # the signal was swallowed
+
+        client = threading.Thread(target=connect_then_give_up, daemon=True)
+        client.start()
+        try:
+            with pytest.raises(service._ShutdownRequest):
+                server.serve_forever()
+        finally:
+            stopped.set()
+            client.join(timeout=10.0)
+            server.server_close()
+        assert not client.is_alive()
+
     def test_sigterm_drains_and_exits_cleanly(self, tmp_path):
         """Full-process integration: ``repro serve`` under SIGTERM."""
         audit = tmp_path / "audit.jsonl"
