@@ -13,10 +13,12 @@ through :class:`repro.explore.StudyRunner` four ways:
   ratio is the study-level scaling headline.
 
 The run fails if the resumed or warm-cache passes simulate any layer, if
-any pass disagrees with the cold frontier, or if the parallel pass's
-PointResults are not bit-identical to the serial ones.  Results are
-printed as a table and emitted to ``BENCH_dse.json`` at the repository
-root, extending the perf trajectory started by ``BENCH_engine.json``.
+the warm-cache pass is served by anything but the disk cache, if any
+pass disagrees with the cold frontier, or if the parallel pass's
+PointResults or simulated-layer count differ from the serial ones.
+Results are printed as a table and emitted to ``BENCH_dse.json`` at the
+repository root, extending the perf trajectory started by
+``BENCH_engine.json``.
 The parallel-beats-serial floor is only *enforced* on runners with at
 least :data:`STUDY_GATE_MIN_CPUS` CPUs (mirroring the engine parallel
 gate); the measured ratio is recorded either way.
@@ -72,11 +74,17 @@ def _run(spec: StudySpec, study_dir: Path, resume: bool, study_jobs=None):
 
 
 def _assert_identical(serial, parallel) -> None:
-    """Parallel study output must be bit-identical to the serial run."""
+    """Parallel study output must be bit-identical to the serial run,
+    and its workers must have simulated exactly the serial layers."""
     lhs = [point.to_dict() for point in serial.points]
     rhs = [point.to_dict() for point in parallel.points]
     if lhs != rhs:
         raise AssertionError("parallel PointResults diverged from serial")
+    if parallel.stats.layers_simulated != serial.stats.layers_simulated:
+        raise AssertionError(
+            f"parallel study simulated {parallel.stats.layers_simulated} "
+            f"layers, serial {serial.stats.layers_simulated}"
+        )
     if [p.point_id for p in serial.frontier()] != [
         p.point_id for p in parallel.frontier()
     ]:
@@ -155,6 +163,10 @@ def main() -> int:
             raise AssertionError("warm-cache restart re-simulated layers")
         if warm.stats.cache_misses != 0:
             raise AssertionError("warm-cache restart missed the cache")
+        if warm.stats.disk_hits != warm.stats.cache_hits:
+            raise AssertionError(
+                "warm-cache restart was not served from the disk cache"
+            )
 
         # Parallel pass: a fresh study directory (no shared state with
         # the passes above) fanned across STUDY_JOBS worker processes.

@@ -15,10 +15,10 @@ enabled, and serves every workflow through it:
   ``repro serve`` batch service and programmatic callers all use.
 
 Everything expensive is cached across calls: training traces (keyed by
-workload + trace parameters), per-configuration runners, and — through
-the engine memo — every simulated layer result.  Two identical requests
-therefore train once and simulate once; the second is pure cache hits,
-which the per-request :class:`~repro.engine.EngineStats` delta in the
+workload + trace parameters) and — through the engine memo — every
+simulated layer result.  Two identical requests therefore train once
+and simulate once; the second is pure cache hits, which the per-request
+:class:`~repro.engine.EngineStats` delta in the
 :class:`~repro.api.schema.ApiResult` envelope makes visible.
 
 Sessions are thread-safe: ``submit`` serialises execution under a lock,
@@ -39,7 +39,6 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
-from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro._fields import check_fields
@@ -66,7 +65,7 @@ from repro.core.config import AcceleratorConfig
 from repro.engine.engine import SimulationEngine
 from repro.engine.options import EngineOptions, resolve_engine_options
 from repro.models.registry import trace_workload
-from repro.simulation.runner import ExperimentRunner
+from repro.simulation.runner import ExperimentRunner, simulation_max_batch
 from repro.telemetry import metrics as _metrics
 from repro.telemetry.tracing import configure as configure_telemetry
 from repro.telemetry.tracing import get_tracer
@@ -144,11 +143,7 @@ class Session:
         )
         self._traces: "OrderedDict[Tuple, object]" = OrderedDict()
         self._max_cached_traces = max(1, int(max_cached_traces))
-        self._runners: Dict[Tuple[str, int], ExperimentRunner] = {}
         self._lock = threading.RLock()
-        #: Cache label for the in-flight request's engine-stats delta
-        #: (handlers attaching a request-scoped disk cache update it).
-        self._request_cache_dir: Optional[str] = self.options.cache_dir
         self._started = time.time()
         self.requests_served = 0
         self._handlers = {
@@ -166,15 +161,16 @@ class Session:
     def _trace(
         self, model: str, epochs: int, batches_per_epoch: int,
         batch_size: int, seed: int, trace_max_batch: Optional[int] = None,
-        progress: Progress = None,
+        progress: Progress = None, banner: Optional[str] = None,
     ):
         """Train-and-trace one workload, memoised with LRU eviction.
 
         The LRU sits above the on-disk trace store of the session's
         ``cache_dir``; the ``session.trace`` span's ``source`` attribute
         names the tier that served the trace (memo, store or trained).
-        ``progress`` gets the training banner only when the model is
-        actually trained, else one line naming the tier.
+        ``progress`` gets the training banner (``banner``, else
+        "Training <model> for <epochs> epoch(s)...") only when the model
+        is actually trained, else one line naming the tier.
         """
         emit = progress or (lambda message: None)
         key = (model, epochs, batches_per_epoch, batch_size, seed,
@@ -193,7 +189,7 @@ class Session:
                 def announce() -> None:
                     nonlocal trained
                     trained = True
-                    emit(f"Training {model} for {epochs} epoch(s)...")
+                    emit(banner or f"Training {model} for {epochs} epoch(s)...")
 
                 self._traces[key] = trace_workload(
                     model, epochs=epochs, batches_per_epoch=batches_per_epoch,
@@ -208,15 +204,6 @@ class Session:
                     self._traces.popitem(last=False)
         _metrics.CACHED_TRACES.set(len(self._traces))
         return self._traces[key]
-
-    def _runner(self, config: AcceleratorConfig, max_groups: int) -> ExperimentRunner:
-        """A per-configuration runner sharing the session engine."""
-        key = (repr(config), max_groups)
-        if key not in self._runners:
-            self._runners[key] = ExperimentRunner(
-                config, max_groups=max_groups, engine=self.engine
-            )
-        return self._runners[key]
 
     def _seed_for(self, request) -> int:
         return self.seed if request.seed is None else request.seed
@@ -253,7 +240,6 @@ class Session:
             check_fields(request)
             request.validate()
             before = self.engine.stats.snapshot()
-            self._request_cache_dir = before.cache_dir
             start = time.perf_counter()
             with tracer.span(
                 "session.submit", kind=request.kind,
@@ -271,16 +257,10 @@ class Session:
             _metrics.REQUEST_SECONDS.observe(elapsed, kind=request.kind)
             if tracer.enabled:
                 tracer.emit_metrics(_metrics.get_registry())
-            # A handler may have attached a request-scoped disk cache
-            # (explore's <study_dir>/cache); the delta's metadata must
-            # name the cache the work actually ran against, not the
-            # already-detached state.
-            delta.cache_dir = self._request_cache_dir
-            # Study documents embed engine stats; make them the
-            # per-request delta so a warm session reports this call's
-            # work, not the engine's lifetime totals.
+            # A study counts the same delta, labelled with the cache it
+            # ran against (explore's <study_dir>/cache, since detached).
             if isinstance(result, (SweepResult, ExploreResult)):
-                result.study["engine"] = delta.as_dict()
+                delta.cache_dir = result.study["engine"]["cache_dir"]
             self.requests_served += 1
             return ApiResult(
                 kind=request.kind,
@@ -337,7 +317,6 @@ class Session:
             "options": self.options.as_dict(),
             "default_seed": self.seed,
             "cached_traces": len(self._traces),
-            "cached_runners": len(self._runners),
             "engine": self.engine.stats.as_dict(),
             "telemetry": get_tracer().describe(),
         }
@@ -361,7 +340,9 @@ class Session:
             request.model, request.epochs, request.batches_per_epoch,
             request.batch_size, self._seed_for(request), progress=progress,
         )
-        runner = self._runner(config, request.max_groups)
+        runner = ExperimentRunner(
+            config, max_groups=request.max_groups, engine=self.engine
+        )
         model_result = runner.run_final_epoch(trace)
         potentials = ExperimentRunner.potential_speedups_from_trace(trace.final_epoch())
         report = runner.energy_report(model_result)
@@ -395,7 +376,9 @@ class Session:
             request.model, request.epochs, request.batches_per_epoch,
             request.batch_size, self._seed_for(request), progress=progress,
         )
-        runner = self._runner(config, request.max_groups)
+        runner = ExperimentRunner(
+            config, max_groups=request.max_groups, engine=self.engine
+        )
         model_result = runner.run_final_epoch(trace)
         report = roofline_report(model_result, config)
         bound_counts = model_result.bound_counts()
@@ -440,20 +423,11 @@ class Session:
             request.batch_size, self._seed_for(request),
             trace_max_batch=request.trace_max_batch, progress=progress,
         )
-        # The simulator's own batch clip must not undo a raised trace
-        # cap, or data-parallel shards collapse back onto the default.
-        from repro.training.tracing import DEFAULT_TRACE_MAX_BATCH
-
-        max_batch = (
-            DEFAULT_TRACE_MAX_BATCH
-            if request.trace_max_batch is None
-            else max(DEFAULT_TRACE_MAX_BATCH, request.trace_max_batch)
-        )
         runner = ScaleRunner(
             config=config,
             engine=self.engine,
             max_groups=request.max_groups,
-            max_batch=max_batch,
+            max_batch=simulation_max_batch(request.trace_max_batch),
         )
         report = runner.run(
             trace.final_epoch(),
@@ -477,12 +451,13 @@ class Session:
             report=report.as_dict(),
         )
 
-    def _study_runner(self, spec, study_dir=None, emit_trace=True,
-                      study_jobs=None):
+    def _study_runner(self, spec, study_dir=None, study_jobs=None,
+                      progress: Progress = None, banner: Optional[str] = None):
         """A study runner wired onto the session engine and trace cache.
 
         ``study_jobs`` (a per-request override, else the session's
-        resolved option) fans point groups across worker processes.
+        resolved option) fans point groups across worker processes;
+        ``progress`` and ``banner`` go to :meth:`_trace`.
         """
         from repro.explore.runner import StudyRunner
 
@@ -491,6 +466,7 @@ class Session:
                 workload, spec.epochs, spec.batches_per_epoch,
                 spec.batch_size, spec.seed,
                 trace_max_batch=spec.trace_max_batch,
+                progress=progress, banner=banner,
             )
 
         if study_jobs is None:
@@ -510,17 +486,13 @@ class Session:
     ) -> SweepResult:
         from repro.explore.report import study_to_dict
 
-        emit = progress or (lambda message: None)
         spec = request.resolved_spec(default_seed=self._seed_for(request))
-        emit(f"Training {request.model} once; sweeping {request.knob} "
-             f"over {request.values}...")
-        runner = self._study_runner(spec, study_jobs=request.study_jobs)
+        runner = self._study_runner(
+            spec, study_jobs=request.study_jobs, progress=progress,
+            banner=f"Training {request.model} once; sweeping {request.knob} "
+                   f"over {request.values}...",
+        )
         study = runner.run(on_event=on_event)
-        # Points executed in study worker processes never touched this
-        # engine's counters; fold the exact per-worker deltas in so the
-        # request envelope and /v1/stats stay truthful under --study-jobs.
-        for delta in runner.worker_stats:
-            self.engine.stats.absorb(delta)
         return SweepResult(
             model=request.model,
             knob=request.knob,
@@ -538,21 +510,9 @@ class Session:
         runner = self._study_runner(
             spec, study_dir=request.study_dir, study_jobs=request.study_jobs
         )
-        # Studies with a study_dir persist layer results on disk (the
-        # PR 2 contract: a killed study resumes in a *new process* with
-        # layer-level cache hits).  The shared engine normally has no
-        # disk cache, so attach the study's for the duration of the run;
-        # an engine-level cache_dir, when configured, wins inside.
-        study_cache = Path(request.study_dir) / "cache" if request.study_dir else None
-        with self.engine.disk_cache(study_cache) as engine:
-            self._request_cache_dir = engine.stats.cache_dir
-            study = runner.run(
-                resume=request.resume, progress=progress, on_event=on_event
-            )
-        # As in _run_sweep: worker-process simulation is invisible to the
-        # session engine until its exact deltas are absorbed.
-        for delta in runner.worker_stats:
-            self.engine.stats.absorb(delta)
+        study = runner.run(
+            resume=request.resume, progress=progress, on_event=on_event
+        )
         return ExploreResult(study=study_to_dict(study, request.objectives))
 
     def _run_diff(

@@ -133,7 +133,6 @@ from __future__ import annotations
 
 import argparse
 import json
-from dataclasses import replace
 from pathlib import Path
 from typing import List, Optional, Tuple
 
@@ -650,7 +649,7 @@ def _command_explore(args: argparse.Namespace) -> int:
         study_to_json,
     )
     from repro.explore.runner import StudyResumeError
-    from repro.explore.spec import StudySpec, parse_objectives
+    from repro.explore.spec import StudySpec
 
     if args.resume and not args.study_dir:
         raise CliError("--resume requires --study-dir (that is where the "
@@ -665,19 +664,26 @@ def _command_explore(args: argparse.Namespace) -> int:
     # keeps its traceback.
     try:
         spec = StudySpec.from_json(args.spec)
-        if args.sample is not None:
-            spec = replace(spec, mode="random", sample=args.sample)
-        if args.seed is not None:
-            spec = replace(spec, seed=args.seed)
-        objectives = None
-        if args.objectives:
-            objectives = [name.strip() for name in args.objectives.split(",")
-                          if name.strip()]
-            parse_objectives(objectives)   # fail before any training starts
     except (ValueError, OSError) as exc:
         # OSError covers a missing spec file, a directory passed as the
         # spec path, permission problems, etc.
         raise CliError(str(exc)) from exc
+    objectives = None
+    if args.objectives:
+        objectives = [name.strip() for name in args.objectives.split(",")
+                      if name.strip()]
+    # The request applies --sample/--seed and checks --objectives before
+    # any training starts; a bad value is a SchemaError (exit 2).
+    request = ExploreRequest(
+        spec=spec.to_dict(),
+        study_dir=args.study_dir,
+        resume=args.resume,
+        sample=args.sample,
+        seed=args.seed,
+        objectives=objectives,
+        study_jobs=args.study_jobs,
+    )
+    spec = request.resolved_spec()
 
     # Progress lines would corrupt machine-readable stdout output.
     quiet = args.format in ("json", "csv") and not args.output
@@ -688,13 +694,6 @@ def _command_explore(args: argparse.Namespace) -> int:
         print(f"Study '{spec.name}': {count} of {spec.space_size} "
               f"points ({spec.mode}), objectives "
               f"{', '.join(objectives or spec.objectives)}")
-    request = ExploreRequest(
-        spec=spec.to_dict(),
-        study_dir=args.study_dir,
-        resume=args.resume,
-        objectives=objectives,
-        study_jobs=args.study_jobs,
-    )
     try:
         result = _session_for(args).submit(
             request, progress=None if quiet else print

@@ -219,9 +219,9 @@ class SimulationEngine:
     def disk_cache(self, cache_dir):
         """Temporarily attach an on-disk cache layer (no-op if one exists).
 
-        Used by sessions whose engine was built without a ``cache_dir``
-        when a workflow brings its own persistence — e.g. a study's
-        ``<study_dir>/cache`` — so interrupted studies still resume with
+        Used by a study running on an engine built without a
+        ``cache_dir`` (a session's): its ``<study_dir>/cache`` is
+        attached for the run, so interrupted studies still resume with
         layer-level disk hits in a fresh process.  The engine's own
         configuration wins when set; results stored while attached also
         land in the memo, so nothing is lost on detach.

@@ -16,8 +16,9 @@ always hits the prefilled memo.
 Results merge back in the parent as each chunk completes (unordered —
 the runner re-sorts into point order at the end), together with the
 worker's exact :class:`~repro.engine.engine.EngineStats` delta for that
-chunk, so aggregated study stats match what one engine doing all the
-work would have counted.
+chunk.  The runner absorbs each delta into the study's engine, so the
+study's stats match what that engine doing all the work would have
+counted.
 """
 
 from __future__ import annotations

@@ -21,12 +21,14 @@ nothing is ever simulated twice.  An unreadable or foreign-version
 checkpoint is refused with :class:`StudyResumeError` and left as it
 is.  The on-disk format lives in :mod:`repro.explore.manifest`.
 
+Every point runs through the study's one engine, and
+:attr:`StudyResult.stats` is that engine's activity during the run.
 With ``study_jobs > 1`` the remaining point groups fan out across a
 pool of worker processes (:class:`~repro.explore.executor.StudyExecutor`),
 each owning an engine on the same disk cache; results merge
-deterministically in point order and per-worker engine stats aggregate
-exactly.  ``study_jobs=1`` (the default) is byte-for-byte today's serial
-path.
+deterministically in point order and each worker's exact engine-stats
+delta is absorbed into the study's engine as its results merge.
+``study_jobs=1`` (the default) is byte-for-byte today's serial path.
 """
 
 from __future__ import annotations
@@ -38,12 +40,12 @@ from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from repro.analysis.frontier import Objective, best_per_objective, pareto_frontier
 from repro.energy.area_model import AreaModel
-from repro.engine.engine import EngineStats
+from repro.engine.engine import EngineStats, SimulationEngine
 from repro.memory.hierarchy import bytes_per_cycle
 from repro.explore import manifest
 from repro.explore.scenarios import apply_scenario
 from repro.explore.spec import DesignPoint, StudySpec, parse_objectives
-from repro.simulation.runner import ExperimentRunner
+from repro.simulation.runner import ExperimentRunner, simulation_max_batch
 from repro.telemetry import metrics as _metrics
 from repro.telemetry.tracing import get_tracer
 from repro.training.tracing import EpochTrace
@@ -141,10 +143,12 @@ class StudyRunner:
         ``study_dir`` and no explicit ``cache_dir`` the cache lands in
         ``<study_dir>/cache`` so resumed studies get layer-level hits.
     engine:
-        An existing :class:`~repro.engine.SimulationEngine` to run every
-        point through (``cache_dir`` then only labels reports).
-        This is how :class:`repro.api.Session` makes studies share its
-        warm cache.
+        The one :class:`~repro.engine.SimulationEngine` every point runs
+        through — how :class:`repro.api.Session` makes studies share
+        its warm cache.  ``None`` builds one on ``cache_dir``.  An
+        engine without a disk cache of its own gets ``cache_dir``
+        attached for each :meth:`run`.  Either way the study's stats
+        count only the run's own work on it.
     study_jobs:
         Worker processes to fan point groups across; ``None`` or ``1``
         runs serially in this process.
@@ -167,7 +171,6 @@ class StudyRunner:
             raise ValueError(f"study_jobs must be >= 1, got {study_jobs}")
         self.spec = spec
         self.study_dir = Path(study_dir) if study_dir else None
-        self.engine = engine
         self.study_jobs = study_jobs or 1
         self._trace_fn = trace_fn
         if self.study_dir is not None:
@@ -180,24 +183,16 @@ class StudyRunner:
             if cache_dir is None:
                 cache_dir = self.study_dir / "cache"
         self.cache_dir = str(cache_dir) if cache_dir else None
+        if engine is None:
+            engine = SimulationEngine(
+                cache_dir=self.cache_dir, max_groups=spec.max_groups
+            )
+        self.engine = engine
         self._traces: Dict[str, object] = {}
         self._scenario_traces: Dict[tuple, EpochTrace] = {}
-        self._runners: "OrderedDict[str, ExperimentRunner]" = OrderedDict()
-        self._worker_stats: List[EngineStats] = []
         self._segment: Optional[manifest.SegmentWriter] = None
 
     # ------------------------------------------------------------------
-    @property
-    def worker_stats(self) -> List[EngineStats]:
-        """Exact per-chunk engine-stats deltas reported by study workers.
-
-        Empty after a serial run.  Work done in worker processes never
-        touches the parent engine's counters, so callers owning that
-        engine (e.g. a :class:`repro.api.Session`) must absorb these to
-        keep their own per-request deltas exact.
-        """
-        return list(self._worker_stats)
-
     def _load_checkpoint(self) -> Dict[str, PointResult]:
         """Every checkpointed record: compacted manifest ∪ appended segment.
 
@@ -278,26 +273,13 @@ class StudyRunner:
             )
         return self._scenario_traces[key]
 
-    def _max_batch(self) -> int:
-        """Simulation-time batch clip honouring a raised trace cap."""
-        from repro.training.tracing import DEFAULT_TRACE_MAX_BATCH
-
-        if self.spec.trace_max_batch is None:
-            return DEFAULT_TRACE_MAX_BATCH
-        return max(DEFAULT_TRACE_MAX_BATCH, self.spec.trace_max_batch)
-
     def _runner_for(self, point: DesignPoint) -> ExperimentRunner:
-        config = point.config()
-        key = repr(config)
-        if key not in self._runners:
-            self._runners[key] = ExperimentRunner(
-                config,
-                max_groups=self.spec.max_groups,
-                max_batch=self._max_batch(),
-                cache_dir=self.cache_dir,
-                engine=self.engine,
-            )
-        return self._runners[key]
+        return ExperimentRunner(
+            point.config(),
+            max_groups=self.spec.max_groups,
+            max_batch=simulation_max_batch(self.spec.trace_max_batch),
+            engine=self.engine,
+        )
 
     def _measure(self, point: DesignPoint, runner: ExperimentRunner, model_result) -> PointResult:
         config = point.config()
@@ -346,9 +328,9 @@ class StudyRunner:
     ) -> Dict[str, float]:
         """Multi-device metrics for a point carrying scaling knobs.
 
-        The scale pass shares the point's engine, so the single-device
+        The scale pass shares the study's engine, so the single-device
         reference simulation is served from whatever cache stack the
-        study has (and re-simulated only on fully cache-less runners).
+        study has (and re-simulated only on a fully cache-less engine).
         Absent plan entries default to one device, the ``data``
         partition and the default interconnect; a ``link_gbps`` knob
         swaps the link bandwidth but keeps the default hop latency.
@@ -366,9 +348,9 @@ class StudyRunner:
         )
         scale_runner = ScaleRunner(
             config=point.config(),
-            engine=runner.engine,
+            engine=self.engine,
             max_groups=self.spec.max_groups,
-            max_batch=self._max_batch(),
+            max_batch=runner.max_batch,
         )
         report = scale_runner.run(
             self._scenario_trace(point.workload, point.scenario),
@@ -438,9 +420,13 @@ class StudyRunner:
         at that boundary — completed points stay checkpointed, so a
         later ``resume=True`` run skips them (how job cancellation
         composes with resumability).
+
+        The result's ``stats`` are the engine's activity during this
+        call, so a study on a warm shared engine reports its own work.
         """
         emit = progress or (lambda message: None)
         notify = on_event or (lambda event: None)
+        before = self.engine.stats.snapshot()
         points = self.spec.expand()
         completed: Dict[str, PointResult] = {}
         # Every record the manifest will hold — a superset of `completed`
@@ -513,66 +499,47 @@ class StudyRunner:
                     span.set(speedup=round(record.metrics["speedup"], 6))
                 record_point(record)
             if stats is not None:
-                self._worker_stats.append(stats)
+                # Worker simulation never touched this engine's counters.
+                self.engine.stats.absorb(stats)
 
         workers = 0
-        try:
-            if self.study_dir is not None:  # prior segments were compacted
-                self._segment = manifest.SegmentWriter(
-                    self.study_dir, self.spec.fingerprint())
-            if self.study_jobs > 1 and groups:
-                from repro.explore.executor import StudyExecutor
+        with self.engine.disk_cache(self.cache_dir):
+            try:
+                if self.study_dir is not None:  # prior segments were compacted
+                    self._segment = manifest.SegmentWriter(
+                        self.study_dir, self.spec.fingerprint())
+                if self.study_jobs > 1 and groups:
+                    from repro.explore.executor import StudyExecutor
 
-                # Workers never train — memoize every scenario trace
-                # here so the payload ships them ready-made.
+                    # Workers never train — memoize every scenario trace
+                    # here so the payload ships them ready-made.
+                    for group in groups.values():
+                        for point in group:
+                            self._scenario_trace(point.workload, point.scenario)
+                    executor = StudyExecutor(self, jobs=self.study_jobs)
+                    workers = executor.run(list(groups.values()), merge_unit)
+                _metrics.STUDY_WORKERS.set(workers or 1)
+                # Serial path — and the exact finisher for anything a broken
+                # pool left behind (completed points are skipped).
                 for group in groups.values():
-                    for point in group:
-                        self._scenario_trace(point.workload, point.scenario)
-                executor = StudyExecutor(self, jobs=self.study_jobs)
-                workers = executor.run(list(groups.values()), merge_unit)
-            _metrics.STUDY_WORKERS.set(workers or 1)
-            # Serial path — and the exact finisher for anything a broken
-            # pool left behind (completed points are skipped).
-            for group in groups.values():
-                pending = [
-                    point for point in group if point.point_id not in completed
-                ]
-                if not pending:
-                    continue
-                for record in self._execute_group(pending):
-                    record_point(record)
-        finally:
-            self._close_segment()
+                    pending = [
+                        point for point in group if point.point_id not in completed
+                    ]
+                    if not pending:
+                        continue
+                    for record in self._execute_group(pending):
+                        record_point(record)
+            finally:
+                self._close_segment()
+            # Inside the attachment, so the label names the cache used.
+            stats = self.engine.stats.since(before)
         self._compact(stored)
 
         results = [completed[point.point_id] for point in points]
         return StudyResult(
             spec=self.spec,
             points=results,
-            stats=self._aggregate_stats(),
+            stats=stats,
             resumed_points=resumed,
         )
-
-    def _aggregate_stats(self) -> EngineStats:
-        """Engine counters summed across every per-config runner + worker.
-
-        Runners sharing one injected engine contribute its counters only
-        once (the counters are engine-level, not per-runner) — but note
-        that a shared engine's totals then cover the engine's whole
-        lifetime, not just this study; callers wanting per-study numbers
-        should snapshot/diff with :meth:`EngineStats.since`.  Study
-        workers report an exact per-chunk delta as results merge, so the
-        parallel totals match what one engine doing all the work would
-        have counted.
-        """
-        totals = EngineStats(cache_dir=self.cache_dir)
-        seen = set()
-        for runner in self._runners.values():
-            if id(runner.engine) in seen:
-                continue
-            seen.add(id(runner.engine))
-            totals.absorb(runner.engine_stats)
-        for delta in self._worker_stats:
-            totals.absorb(delta)
-        return totals
 

@@ -335,16 +335,6 @@ class BenchDiff:
             "identical": self.identical,
         }
 
-    def to_dict(self) -> Dict:
-        return {
-            "a": self.a_source,
-            "b": self.b_source,
-            "tolerance": self.tolerance,
-            "summary": self.summary(),
-            "rows": [dict(row) for row in self.rows],
-            "warnings": list(self.warnings),
-        }
-
 
 def _classify_bench(
     metric: WatchedMetric,

@@ -141,20 +141,6 @@ class LineageDiff:
             "identical": self.identical,
         }
 
-    def to_dict(self) -> Dict:
-        return {
-            "a": self.a_source,
-            "b": self.b_source,
-            "tolerance": self.tolerance,
-            "summary": self.summary(),
-            "deltas": [d.to_dict() for d in self.deltas],
-            "added": list(self.added),
-            "removed": list(self.removed),
-            "frontier": dict(self.frontier),
-            "attribution": [dict(entry) for entry in self.attribution],
-            "warnings": list(self.warnings),
-        }
-
 
 # ----------------------------------------------------------------------
 def _resolve_objectives(

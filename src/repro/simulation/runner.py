@@ -31,7 +31,7 @@ from repro.core.config import AcceleratorConfig
 from repro.energy.accounting import EfficiencyReport, EnergyAccountant
 from repro.memory.traffic import MemoryTraffic
 from repro.simulation.cycle_sim import LayerResult, traced_layers
-from repro.training.tracing import EpochTrace, TrainingTrace
+from repro.training.tracing import DEFAULT_TRACE_MAX_BATCH, EpochTrace, TrainingTrace
 
 
 #: The three operations in the order the paper's figures list them.
@@ -158,6 +158,16 @@ class ModelResult:
             for layer in self.layer_results
             for op in layer.operations.values()
         )
+
+
+def simulation_max_batch(trace_max_batch: Optional[int]) -> int:
+    """The simulator's batch clip for traces recorded under ``trace_max_batch``.
+
+    A raised trace cap must not be undone at simulation time, or
+    data-parallel shards and large-batch studies collapse back onto the
+    default; ``None`` means the default cap.
+    """
+    return max(DEFAULT_TRACE_MAX_BATCH, trace_max_batch or DEFAULT_TRACE_MAX_BATCH)
 
 
 class ExperimentRunner:

@@ -153,13 +153,18 @@ class TestSessionCaching:
         assert session.engine.cache is None
 
     def test_one_engine_is_shared(self):
+        """simulate and sweep run on the one session engine: the sweep's
+        default-staging point is served from simulate's memo entries."""
         session = Session()
-        session.simulate("snli", **FAST)
-        session.sweep("snli", knob="staging", values=[2, 3], epochs=1,
-                      batches_per_epoch=1, batch_size=4, max_groups=8)
-        runners = list(session._runners.values())
-        assert runners, "session built no runners"
-        assert all(runner.engine is session.engine for runner in runners)
+        simulated = session.simulate("snli", **FAST)
+        swept = session.sweep("snli", knob="staging", values=[2, 3], epochs=1,
+                              batches_per_epoch=1, batch_size=4, max_groups=8)
+        assert simulated.engine["layers_simulated"] > 0
+        assert swept.engine["memo_hits"] == simulated.engine["layers_simulated"]
+        assert session.engine.stats.layers_simulated == (
+            simulated.engine["layers_simulated"]
+            + swept.engine["layers_simulated"]
+        )
 
 
 class TestSubmit:

@@ -489,6 +489,27 @@ class TestStudyJobsKnob:
         serial_points = serial.result.study["points"]
         assert serial_points == parallel.result.study["points"]
 
+    @pytest.mark.parametrize("study_jobs", [1, 2])
+    def test_study_engine_block_is_the_envelope(self, tmp_path, study_jobs):
+        """A study document's engine stats are its request's delta."""
+        from repro.api.session import Session
+
+        session = Session()
+        explored = session.submit(ExploreRequest(
+            spec=tiny_spec().to_dict(), study_dir=str(tmp_path / "study"),
+            study_jobs=study_jobs,
+        ))
+        assert explored.engine["layers_simulated"] > 0
+        assert explored.engine["cache_dir"] == str(tmp_path / "study" / "cache")
+        assert explored.result.study["engine"] == explored.engine
+        swept = session.submit(SweepRequest(
+            model="snli", knob="rows", values=[1, 4], epochs=1,
+            batches_per_epoch=1, batch_size=4, max_groups=8,
+            study_jobs=study_jobs,
+        ))
+        assert swept.engine["cache_dir"] is None
+        assert swept.result.study["engine"] == swept.engine
+
     def test_cli_explore_study_jobs(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps(tiny_spec().to_dict()))

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.engine.engine import SimulationEngine
 from repro.explore import (
     StudyResumeError,
     StudyRunner,
@@ -222,6 +223,43 @@ class TestStudyRunner:
             StudyRunner(tiny_spec()).run(resume=True)
 
 
+class TestOneEngine:
+    """A study runs on one engine and reports only its own work on it."""
+
+    def test_standalone_runner_owns_one_engine(self):
+        runner = StudyRunner(tiny_spec())
+        engine = runner.engine
+        assert engine is not None
+        result = runner.run()
+        assert runner.engine is engine
+        assert result.stats.layers_simulated > 0
+        assert result.stats == engine.stats
+
+    def test_warm_engine_reports_this_study_only(self):
+        engine = SimulationEngine(memory_cache=True)
+        first = StudyRunner(tiny_spec(), engine=engine).run()
+        again = StudyRunner(tiny_spec(), engine=engine).run()
+        assert first.stats.layers_simulated > 0
+        assert again.stats.layers_simulated == 0
+        assert again.stats.memo_hits == first.stats.layers_simulated
+
+    def test_worker_work_lands_on_the_given_engine(self):
+        serial = SimulationEngine(memory_cache=True)
+        StudyRunner(tiny_spec(), engine=serial).run()
+        engine = SimulationEngine(memory_cache=True)
+        result = StudyRunner(tiny_spec(), engine=engine, study_jobs=2).run()
+        assert engine.stats.layers_simulated == serial.stats.layers_simulated
+        assert result.stats == engine.stats
+
+    def test_study_dir_cache_is_attached_for_the_run_only(self, tmp_path):
+        engine = SimulationEngine(memory_cache=True)
+        study_dir = tmp_path / "study"
+        result = StudyRunner(tiny_spec(), study_dir=study_dir, engine=engine).run()
+        assert result.stats.cache_dir == str(study_dir / "cache")
+        assert list((study_dir / "cache").glob("*/*.json"))
+        assert engine.cache is None and engine.stats.cache_dir is None
+
+
 class TestExploreCli:
     def write_spec(self, tmp_path, **overrides):
         path = tmp_path / "spec.json"
@@ -334,6 +372,20 @@ class TestSweepAlias:
         output = capsys.readouterr().out
         assert "staging=2" in output
         assert "staging=3" in output
+
+    def test_warm_sweep_prints_no_training_banner(self, tmp_path, capsys):
+        argv = [
+            "sweep", "snli", "--knob", "staging", "--values", "2,3",
+            "--epochs", "1", "--max-groups", "8",
+            "--cache-dir", str(tmp_path / "cache"),
+        ]
+        assert main(argv) == 0
+        assert "Training snli once; sweeping staging" in capsys.readouterr().out
+        assert main(argv) == 0
+        output = capsys.readouterr().out
+        assert "Training" not in output
+        assert "Loaded the snli trace from the trace store" in output
+        assert "layers simulated=0" in output
 
     def test_sweep_accepts_every_explore_knob(self, capsys):
         exit_code = main([
